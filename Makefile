@@ -8,7 +8,7 @@ PYTEST := PYTHONPATH=src python -m pytest
 # coverage grows, never lower it to admit a regression.
 COVERAGE_FLOOR := 90
 
-.PHONY: check lint test coverage bench-smoke bench bench-async bench-sharded bench-socket bench-check bench-baseline bench-paper bench-paper-baseline profile-paper fuzz-smoke
+.PHONY: check lint test coverage bench-smoke bench bench-async bench-sharded bench-check bench-baseline bench-paper bench-paper-baseline profile-paper fuzz-smoke
 
 check: lint test
 
@@ -19,8 +19,9 @@ lint:
 		echo "ruff not installed; skipping lint"; \
 	fi
 
+# --durations lists the slowest tests so CI logs show the tier-1 slow tail.
 test:
-	$(PYTEST) -x -q
+	$(PYTEST) -x -q --durations=15
 
 # The tier-1 suite under the coverage tracer, failing below COVERAGE_FLOOR.
 # Uses pytest-cov when installed; otherwise falls back to the stdlib tracer
@@ -42,7 +43,7 @@ bench-smoke:
 bench:
 	$(PYTEST) -q benchmarks
 
-# Wall-clock comparison of the asyncio transport against inline/batching on
+# Wall-clock comparison of the asyncio transport against inline on
 # the scaled reference workload (asserts bit-identical metrics as it goes).
 bench-async:
 	$(PYTEST) -q benchmarks/bench_async.py
@@ -52,13 +53,6 @@ bench-async:
 # bit-identical to a run without the knob.
 bench-sharded:
 	$(PYTEST) -q benchmarks/bench_sharded.py
-
-# Wall-clock + CPU comparison of the multi-process socket transport against
-# inline/batching on the 4-shard reference workload (asserts bit-identical
-# metrics, worker-side wire work, and — on multi-CPU hosts — >1 aggregate
-# core).
-bench-socket:
-	$(PYTEST) -q -s benchmarks/bench_socket.py
 
 # Regression gate: re-run the reference workloads and fail loudly on any
 # metric drift or a >25% wall-clock regression against BENCH_BASELINE.json.

@@ -1,4 +1,4 @@
-"""Benchmark — the asyncio transport against inline and batching.
+"""Benchmark — the asyncio transport against inline.
 
 Runs the scaled reference workload (the ``scaled(factor=4)`` configuration
 ``make bench-check`` pins, the period-engine hot path) once per transport and
@@ -6,7 +6,7 @@ reports wall-clock side by side.  Two properties are asserted:
 
 * **Metric equivalence** — the async run's ``PeriodSample`` stream is
   bit-identical to inline's (the same contract the golden test harness
-  enforces at a smaller scale); batching must match too.
+  enforces at a smaller scale).
 * **Bounded overhead** — stepping an asyncio loop per exchange costs real
   Python time; the async run must stay within ``ASYNC_OVERHEAD_BUDGET`` × the
   inline wall-clock so the overhead cannot quietly grow into unusability.
@@ -22,7 +22,7 @@ from repro.experiments.reporting import format_table
 from repro.experiments.runner import ExperimentScale
 from repro.sim.simulator import FlowSimulator, SimulationResult
 
-TRANSPORT_LINEUP = ("inline", "batching", "async")
+TRANSPORT_LINEUP = ("inline", "async")
 
 ASYNC_OVERHEAD_BUDGET = 5.0
 """The async run may cost at most this multiple of inline wall-clock.
@@ -76,8 +76,7 @@ def test_async_transport_wallclock_and_equivalence(benchmark):
             ],
         )
     )
-    for kind in ("batching", "async"):
-        _assert_streams_identical(lineup[kind][0], inline_result)
+    _assert_streams_identical(lineup["async"][0], inline_result)
     async_time = lineup["async"][1]
     assert async_time <= inline_time * ASYNC_OVERHEAD_BUDGET, (
         f"async transport took {async_time:.3f}s vs inline {inline_time:.3f}s "

@@ -8,27 +8,18 @@ the distribution of probe counts per lookup.
 
 from __future__ import annotations
 
-import time
-
 from repro.core.config import ClashConfig
 from repro.core.protocol import ClashSystem
 from repro.experiments.reporting import format_table
 from repro.keys.identifier import IdentifierKey, RandomKeyGenerator
-from repro.net.batching import BatchingTransport
-from repro.net.inline import InlineTransport
-from repro.net.transport import Transport
 from repro.util.rng import RandomStream
 from repro.util.stats import percentile
 from repro.workload.distributions import workload_b, workload_c
 
 
-def _build_skewed_system(
-    seed: int, splits: int, transport: Transport | None = None
-) -> ClashSystem:
+def _build_skewed_system(seed: int, splits: int) -> ClashSystem:
     config = ClashConfig(server_capacity=400.0)
-    system = ClashSystem.create(
-        config, server_count=128, rng=RandomStream(seed), transport=transport
-    )
+    system = ClashSystem.create(config, server_count=128, rng=RandomStream(seed))
     spec = workload_c()
     generator = RandomKeyGenerator(
         width=config.key_bits, base_bits=8, rng=RandomStream(seed + 1), base_weights=spec.weights
@@ -82,60 +73,6 @@ def test_depth_search_converges_faster_than_log_n(benchmark):
     # the guaranteed N + 1 bound.
     assert mean_probes < 4.58
     assert max(probes) <= 25
-
-
-def test_depth_search_batching_transport_speedup(benchmark):
-    """BatchingTransport must beat inline dispatch by ≥10% on the hot path.
-
-    The workload is the same skew-split deployment and client probe mix as the
-    convergence benchmark above (with a larger probe population, which both
-    stabilises the timing and reflects the cache density of a real load-check
-    period).  Batching coalesces the per-period DHT route resolutions (the
-    probe path resolves a virtual key per ACCEPT_OBJECT), so the identical
-    message sequence is delivered with measurably less Python work per
-    envelope.
-    """
-
-    def run_workload(transport: Transport) -> None:
-        system = _build_skewed_system(seed=13, splits=300, transport=transport)
-        client = system.make_client("bench-client")
-        generator = RandomKeyGenerator(
-            width=system.config.key_bits,
-            base_bits=8,
-            rng=RandomStream(99),
-            base_weights=workload_b().weights,
-        )
-        for _ in range(1200):
-            client.find_group(generator.generate(), use_cache=False)
-
-    def best_of(factory, rounds: int = 5) -> float:
-        best = float("inf")
-        for _ in range(rounds):
-            start = time.perf_counter()
-            run_workload(factory())
-            best = min(best, time.perf_counter() - start)
-        return best
-
-    def compare() -> tuple[float, float]:
-        return best_of(InlineTransport), best_of(BatchingTransport)
-
-    inline_time, batching_time = benchmark.pedantic(compare, rounds=1, iterations=1)
-    ratio = batching_time / inline_time
-    print()
-    print(
-        format_table(
-            ["transport", "best wall-clock (s)"],
-            [
-                ["inline", f"{inline_time:.4f}"],
-                ["batching", f"{batching_time:.4f}"],
-                ["ratio", f"{ratio:.3f}"],
-            ],
-        )
-    )
-    assert ratio <= 0.90, (
-        f"batching transport was only {100 * (1 - ratio):.1f}% faster "
-        f"(inline {inline_time:.4f}s vs batching {batching_time:.4f}s)"
-    )
 
 
 def test_depth_search_on_uniform_tree(benchmark):

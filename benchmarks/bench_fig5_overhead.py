@@ -7,9 +7,6 @@ persistent-query population (the paper's cases A and B).
 
 from __future__ import annotations
 
-import dataclasses
-import time
-
 from benchmarks.conftest import bench_scale
 from repro.experiments.fig5 import run_figure5
 from repro.experiments.reporting import render_figure5
@@ -31,41 +28,6 @@ def test_figure5_communication_overhead(benchmark):
     for case in result.cases:
         for rate in case.messages_per_server_per_second().values():
             assert rate < 100.0
-
-
-def test_figure5_overhead_with_batching_transport(benchmark):
-    """The overhead figure regenerates identically over BatchingTransport.
-
-    Batching coalesces the per-period route resolutions and load-report
-    deliveries; the reported message rates must not move at all (the hop
-    charges are replayed from the route cache), while wall-clock time drops.
-    """
-    scale = bench_scale(phase_periods=2)
-
-    def run_both():
-        start = time.perf_counter()
-        inline = run_figure5(scale, stream_lengths=(1000.0,))
-        inline_time = time.perf_counter() - start
-        start = time.perf_counter()
-        batched = run_figure5(
-            dataclasses.replace(scale, transport="batching"), stream_lengths=(1000.0,)
-        )
-        batched_time = time.perf_counter() - start
-        return inline, batched, inline_time, batched_time
-
-    inline, batched, inline_time, batched_time = benchmark.pedantic(
-        run_both, rounds=1, iterations=1
-    )
-    print()
-    print(
-        f"inline {inline_time:.2f}s vs batching {batched_time:.2f}s "
-        f"(ratio {batched_time / inline_time:.3f})"
-    )
-    for inline_case, batched_case in zip(inline.cases, batched.cases):
-        inline_rates = inline_case.messages_per_server_per_second()
-        batched_rates = batched_case.messages_per_server_per_second()
-        for workload, rate in inline_rates.items():
-            assert abs(batched_rates[workload] - rate) < 1e-9
 
 
 def test_figure5_lookup_cost_per_key_change(benchmark):

@@ -15,8 +15,8 @@ interaction:
 Every exchange travels as an :class:`~repro.net.envelope.Envelope` through a
 pluggable :class:`~repro.net.transport.Transport`: the default
 :class:`~repro.net.inline.InlineTransport` dispatches synchronously (the
-original semantics), while the event-driven and batching transports add
-simulated latency or per-period coalescing without touching protocol code.
+original semantics), while the event-driven and asyncio transports add
+simulated latency or awaitable delivery without touching protocol code.
 
 The ownership registry kept here is *simulator-side* state used for metrics
 and invariant checking; the protocol itself never consults it — clients
@@ -62,8 +62,8 @@ __all__ = ["AwaitableHandler", "ClashSystem", "SplitOutcome", "MergeOutcome"]
 class AwaitableHandler:
     """The thin sync/async bridge every server endpoint is bound behind.
 
-    Synchronous transports (inline, event, batching) call the handler like a
-    plain function — dispatch runs on the caller's stack, exactly as before.
+    Synchronous transports (inline, event) call the handler like a plain
+    function — dispatch runs on the caller's stack, exactly as before.
     The asyncio transport awaits :meth:`handle_async` instead, which also
     unwraps handlers that themselves return awaitables, so individual server
     handlers may become native coroutines without touching the transports.
@@ -836,7 +836,7 @@ class ClashSystem:
 
         Requires a transport whose equivalence contract permits it (clock-less
         delivery, no per-delivery RNG — see
-        :attr:`~repro.net.registry.TransportSpec.report_diff`) and the
+        :attr:`~repro.net.registry.TransportSpec.models_time`) and the
         reference full-scan mode to be off.  The flow simulator consults this
         to decide whether parents' child reports must still be wiped at every
         iteration boundary.
@@ -950,9 +950,8 @@ class ClashSystem:
                     )
                     posted += 1
                     recipients.add(parent_name)
-        # Deferred-delivery transports coalesce the reports per destination;
-        # they must land before consolidation reads them, so the period's
-        # batch window closes here.
+        # Deferred-delivery transports hold the reports in flight; they must
+        # land before consolidation reads them.
         self._transport.flush()
         dropped = self._transport.dropped_messages - drops_before
         delivered = posted - dropped + reused
@@ -1266,8 +1265,6 @@ class ClashSystem:
         # the handoff below moves, so fall back to a full exchange.
         self._invalidate_report_diff()
         self._transport.bind(joiner, self._make_endpoint(server), shard=shard)
-        # Ring membership changed: cached DHT routes are stale.
-        self._transport.invalidate_routes()
         moving = [
             (group, owner)
             for group, owner in sorted(self._group_owner.items())
@@ -1399,10 +1396,8 @@ class ClashSystem:
             != current.shard_of_key(group.virtual_key)
         ]
         self._router.set_partition(new_map)
-        # The key → shard → server resolution changed: cached DHT routes are
-        # stale even when no active group happens to move, and standing
-        # report-diff state may address groups the migration loop moves.
-        self._transport.invalidate_routes()
+        # Standing report-diff state may address groups the migration loop
+        # moves: fall back to a full exchange.
         self._invalidate_report_diff()
         migrated: dict[KeyGroup, str] = {}
         for group, former in moving:

@@ -20,9 +20,9 @@ original rule bit for bit — with ``2**b`` shards, shard ``k`` owns every
 identifier key whose top ``b`` bits equal ``k`` — while a rebalance may
 install a newer map with load-proportional boundaries
 (:meth:`ShardedRingRouter.set_partition`).  Each shard runs its own full
-Chord ring over a disjoint subset of the servers, so a shard is exactly the
-unit a future multi-process worker can own: its servers, its overlay and
-its slice of the key space move together.
+Chord ring over a disjoint subset of the servers, so a shard is a
+self-contained unit: its servers, its overlay and its slice of the key space
+move together.
 
 Because a key group's children share its prefix, a group of depth ``d``
 lies entirely inside one aligned prefix block of any depth ``<= d``.  CLASH

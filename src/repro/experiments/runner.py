@@ -46,9 +46,8 @@ class ExperimentScale:
         load_check_period: Seconds between load checks.
         seed: Master random seed.
         transport: Transport protocol messages travel through (one of
-            :data:`repro.net.TRANSPORT_KINDS` — ``inline``, ``event``,
-            ``batching``, ``async``, ``replay`` or ``socket``; see the
-            :data:`repro.net.TRANSPORTS` registry).
+            :data:`repro.net.TRANSPORT_KINDS` — ``inline``, ``event`` or
+            ``async``; see the :data:`repro.net.TRANSPORTS` registry).
         link_latency: One-way message latency in seconds when a
             time-modelling transport (``event``, ``async``) is selected.
         join_rate: Poisson server-join rate (events/sec) applied to every

@@ -10,11 +10,12 @@ twice over:
   events are captured on ``simulator.churn_log``, and the transport's
   delivery ring buffer is turned on — the run's whole schedule comes out as
   a :class:`RecordedTrace`;
-* **replaying** (``run_case(..., schedule=...)``): an async case runs on the
-  ``"replay"`` transport with the schedule's tie tape, any other transport
-  re-runs as itself, and recorded churn is executed verbatim by the
-  simulator instead of drawing Poisson arrivals.  Same schedule ⇒ same run,
-  bit for bit (``SimulationResult.diff`` is the comparator).
+* **replaying** (``run_case(..., schedule=...)``): the simulator hands an
+  async case's transport the schedule's tie tape as its ready source, any
+  other transport re-runs as itself, and recorded churn is executed
+  verbatim by the simulator instead of drawing Poisson arrivals.  Same
+  schedule ⇒ same run, bit for bit (``SimulationResult.diff`` is the
+  comparator).
 """
 
 from __future__ import annotations
@@ -120,16 +121,12 @@ class FuzzCase:
     ) -> FlowSimulator:
         """A fresh simulator for this case (forced onto ``schedule`` if given).
 
-        Replaying an async case swaps the transport kind to ``"replay"`` so
-        the schedule's tie tape drives delivery order; every other transport
-        has no tie tape and re-runs as itself (its delivery order is already
-        a pure function of the seeds), with only the churn events forced.
+        The simulator drives an async case's delivery order from the
+        schedule's tie tape; every other transport has no tie tape and
+        re-runs as itself (its delivery order is already a pure function of
+        the seeds), with only the churn events forced.
         """
         scale = self.scale()
-        kind = scale.transport
-        if schedule is not None and kind == "async":
-            kind = "replay"
-            scale = dataclasses.replace(scale, transport=kind)
         params = scale.params(
             delivery_seed=self.delivery_seed, churn_seed=self.churn_seed
         )

@@ -4,12 +4,11 @@ The protocol layer wraps every exchange in an
 :class:`~repro.net.envelope.Envelope` and hands it to a
 :class:`~repro.net.transport.Transport`; which transport is installed decides
 whether delivery is synchronous (:class:`~repro.net.inline.InlineTransport`),
-event-driven with simulated latency (:class:`~repro.net.event.EventTransport`),
-batched per load-check period
-(:class:`~repro.net.batching.BatchingTransport`), awaitable on an asyncio
-event loop (:class:`~repro.net.asyncio_transport.AsyncTransport`) or carried
-to per-shard worker processes over framed sockets
-(:class:`~repro.net.socket_transport.SocketTransport`).
+event-driven with simulated latency (:class:`~repro.net.event.EventTransport`)
+or awaitable on an asyncio event loop
+(:class:`~repro.net.asyncio_transport.AsyncTransport`).  The fuzzer forces
+the async transport onto a recorded delivery order by handing it a
+:class:`~repro.net.replay.TieTape` as its ready source.
 
 All transports are declared once in the :data:`TRANSPORTS` registry
 (:mod:`repro.net.registry`); the CLI choices, simulator validation and test
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from repro.net.batching import BatchingTransport
 from repro.net.envelope import Delivery, DhtAddress, Envelope
 from repro.net.inline import InlineTransport
 from repro.net.latency import (
@@ -38,8 +36,7 @@ from repro.util.rng import RandomStream
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.net.asyncio_transport import AsyncTransport
     from repro.net.event import EventTransport
-    from repro.net.replay import ReplaySchedule, ReplayTransport
-    from repro.net.socket_transport import SocketTransport
+    from repro.net.replay import ReplaySchedule
     from repro.sim.engine import SimulationEngine
 
 __all__ = [
@@ -51,10 +48,7 @@ __all__ = [
     "DeliveryFailed",
     "InlineTransport",
     "EventTransport",
-    "BatchingTransport",
     "AsyncTransport",
-    "SocketTransport",
-    "ReplayTransport",
     "ReplaySchedule",
     "ChurnEvent",
     "TieRecorder",
@@ -86,11 +80,7 @@ def __getattr__(name: str):
         from repro.net.asyncio_transport import AsyncTransport
 
         return AsyncTransport
-    if name == "SocketTransport":
-        from repro.net.socket_transport import SocketTransport
-
-        return SocketTransport
-    if name in ("ReplayTransport", "ReplaySchedule", "ChurnEvent", "TieRecorder", "TieTape"):
+    if name in ("ReplaySchedule", "ChurnEvent", "TieRecorder", "TieTape"):
         from repro.net import replay
 
         return getattr(replay, name)
@@ -129,7 +119,6 @@ def build_transport(
     per_hop_latency: float = 0.0,
     rng: RandomStream | None = None,
     ready_rng: RandomStream | None = None,
-    schedule: "ReplaySchedule | None" = None,
 ) -> Transport:
     """Construct a transport from the CLI-level description.
 
@@ -145,17 +134,13 @@ def build_transport(
             combined with ``link_latency`` as the base.
         rng: Seeded stream used when ``latency_jitter`` is non-zero.
         ready_rng: Seeded stream for the ``async`` transport's ready-order
-            tie-breaking (``None`` falls back to send-order).
-        schedule: Recorded schedule forced by the ``replay`` transport
-            (ignored by every other kind; ``None`` replays an empty tape,
-            i.e. deterministic FIFO).
+            tie-breaking (``None`` falls back to send-order); a
+            :class:`~repro.net.replay.TieTape` forces a recorded order.
     """
     spec = transport_spec(kind)
     latency: LatencyModel | None = None
     if spec.models_time:
         latency = _latency_model(link_latency, latency_jitter, per_hop_latency, rng)
-    transport = spec.factory(
-        engine=engine, latency=latency, ready_rng=ready_rng, schedule=schedule
-    )
-    transport.supports_report_diff = spec.report_diff
+    transport = spec.factory(engine=engine, latency=latency, ready_rng=ready_rng)
+    transport.supports_report_diff = not spec.models_time
     return transport

@@ -8,15 +8,14 @@ equivalence parametrization — derives from :data:`TRANSPORTS` instead of
 maintaining its own list.  Adding a transport means adding one
 :class:`TransportSpec` here; everything else follows.
 
-Each spec also records the *equivalence contract* the transport makes, which
-is what the golden test harness (``tests/net/equivalence.py``) enforces:
-
-* ``exact_equivalence`` — with a zero-latency model, a flow simulation on
-  this transport produces :class:`~repro.sim.metrics.PeriodSample` streams
-  bit-identical to :class:`~repro.net.inline.InlineTransport`.
-* ``churn_equivalence`` — the same holds under period-boundary membership
-  churn.  The event transport executes churn *mid-phase* on its engine clock
-  (a deliberately different, more realistic schedule), so it opts out.
+Every registered transport makes the same base *equivalence contract*,
+which the golden test harness (``tests/net/equivalence.py``) enforces: with
+a zero-latency model, a flow simulation on it produces
+:class:`~repro.sim.metrics.PeriodSample` streams bit-identical to
+:class:`~repro.net.inline.InlineTransport`.  ``churn_equivalence`` records
+whether that also holds under period-boundary membership churn — the event
+transport executes churn *mid-phase* on its engine clock (a deliberately
+different, more realistic schedule), so it opts out.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable
 
-from repro.net.batching import BatchingTransport
 from repro.net.inline import InlineTransport
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -55,27 +53,17 @@ class TransportSpec:
             drained at period boundaries.
         models_time: Deliveries are priced by a latency model and the
             transport keeps a clock (``link_latency`` & friends apply).
-        exact_equivalence: Zero-latency runs reproduce inline
-            ``PeriodSample`` streams bit for bit (golden harness enforces).
-        churn_equivalence: ``exact_equivalence`` extends to scenarios with
-            membership churn.
-        shard_aware: The transport honours per-shard endpoint namespacing
-            (``bind(..., shard=...)`` / ``endpoints(shard=...)``) and may
-            carry a sharded deployment.  All in-process transports inherit
-            the base :class:`~repro.net.transport.Transport` namespace and
-            are shard-aware; the socket transport goes further and routes
-            each shard namespace to its own worker process.
-            :class:`~repro.sim.simulator.SimulationParams` refuses
-            ``shards > 1`` on a transport that is not shard-aware.
-        report_diff: The protocol layer may skip re-posting load reports whose
-            content the destination already holds (the report-diff exchange in
-            :meth:`~repro.core.protocol.ClashSystem.exchange_load_reports`).
-            Only sound on clock-less transports: a transport that prices each
-            delivery with a latency model (``models_time``) or draws
-            per-delivery RNG would see every later sample shift when an
-            envelope is elided, breaking the equivalence contracts above.
-            Message *accounting* is unaffected either way — skipped reports
-            are still charged exactly as a delivery would have been.
+            Clock-less transports also let the protocol layer skip
+            re-posting load reports whose content the destination already
+            holds (the report-diff exchange in
+            :meth:`~repro.core.protocol.ClashSystem.exchange_load_reports`):
+            on a transport that prices each delivery or draws per-delivery
+            RNG, eliding an envelope would shift every later sample.
+            :func:`repro.net.build_transport` derives
+            :attr:`~repro.net.transport.Transport.supports_report_diff` from
+            this flag.
+        churn_equivalence: Zero-latency runs reproduce inline
+            ``PeriodSample`` streams bit for bit under membership churn too.
     """
 
     kind: str
@@ -83,10 +71,7 @@ class TransportSpec:
     factory: Callable[..., "Transport"]
     needs_engine: bool = False
     models_time: bool = False
-    exact_equivalence: bool = True
     churn_equivalence: bool = True
-    shard_aware: bool = True
-    report_diff: bool = False
 
 
 def _build_event(
@@ -111,24 +96,6 @@ def _build_async(
     return AsyncTransport(latency=latency, ready_rng=ready_rng)
 
 
-def _build_replay(
-    latency: "LatencyModel | None" = None,
-    schedule=None,
-    **_ignored,
-) -> "Transport":
-    from repro.net.replay import ReplayTransport
-
-    return ReplayTransport(schedule=schedule, latency=latency)
-
-
-def _build_socket(**_ignored) -> "Transport":
-    # Imported lazily: the transport pulls in multiprocessing and the wire
-    # codec, which only socket runs pay for.
-    from repro.net.socket_transport import SocketTransport
-
-    return SocketTransport()
-
-
 TRANSPORTS: dict[str, TransportSpec] = {
     spec.kind: spec
     for spec in (
@@ -136,7 +103,6 @@ TRANSPORTS: dict[str, TransportSpec] = {
             kind="inline",
             summary="synchronous in-process dispatch (the paper-faithful default)",
             factory=lambda **_ignored: InlineTransport(),
-            report_diff=True,
         ),
         TransportSpec(
             kind="event",
@@ -147,15 +113,8 @@ TRANSPORTS: dict[str, TransportSpec] = {
             models_time=True,
             # Mid-phase churn runs on the engine clock (after the period's
             # balance pass), a deliberately different schedule from the
-            # period-boundary drain the clock-less transports share.
+            # period-boundary drain inline and async share.
             churn_equivalence=False,
-        ),
-        TransportSpec(
-            kind="batching",
-            summary="per-period coalescing of same-destination traffic and "
-            "DHT route resolutions",
-            factory=lambda **_ignored: BatchingTransport(),
-            report_diff=True,
         ),
         TransportSpec(
             kind="async",
@@ -163,23 +122,6 @@ TRANSPORTS: dict[str, TransportSpec] = {
             "inboxes and seeded ready-order",
             factory=_build_async,
             models_time=True,
-        ),
-        TransportSpec(
-            kind="replay",
-            summary="async delivery forced onto a recorded schedule tape "
-            "(fuzz repro artifacts; FIFO with an empty tape)",
-            factory=_build_replay,
-            models_time=True,
-        ),
-        TransportSpec(
-            kind="socket",
-            summary="one worker process per shard, length-prefixed msgpack "
-            "frames over inherited socketpairs",
-            factory=_build_socket,
-            # Clock-less like batching: churn drains at period boundaries,
-            # routes coalesce per window with replayed hop charges, so both
-            # equivalence contracts hold bit for bit.
-            report_diff=True,
         ),
     )
 }

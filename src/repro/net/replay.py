@@ -8,7 +8,7 @@ draws therefore records the whole envelope-level schedule, and replaying the
 tape forces the exact same delivery order — bit for bit, without storing a
 single envelope.
 
-Three small pieces make that a replayable trace:
+Two small pieces make that a replayable trace:
 
 * :class:`TieRecorder` — wraps the live ready source and remembers every
   draw (the fuzzer installs it before a recorded run).
@@ -16,11 +16,13 @@ Three small pieces make that a replayable trace:
   by the shrinker return their recorded value, everything else returns
   ``0.0``, the FIFO default.  Masking a tie is how delta debugging removes
   one reordering decision from a failing schedule.
-* :class:`ReplayTransport` — an :class:`AsyncTransport` whose ready source
-  is a :class:`TieTape`; registered in :data:`repro.net.TRANSPORTS` as
-  ``"replay"``.  With an empty tape it degrades to deterministic FIFO
-  delivery and passes the full golden-equivalence battery like any other
-  transport.
+
+Forcing a run onto a tape needs no transport of its own: the async
+transport takes a :class:`TieTape` as its ``ready_rng``, and
+:class:`~repro.sim.simulator.FlowSimulator` installs one whenever it is
+given a :class:`ReplaySchedule`.  With an empty tape delivery degrades to
+deterministic FIFO, which reproduces the golden streams like any other
+async run.
 
 Membership churn is the second scheduled dimension: a recorded run's
 executed join/failure events are captured as :class:`ChurnEvent` records
@@ -43,14 +45,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
-from repro.net.asyncio_transport import AsyncTransport
-from repro.net.latency import LatencyModel
-
 __all__ = [
     "ChurnEvent",
     "RebalanceEvent",
     "ReplaySchedule",
-    "ReplayTransport",
     "TieRecorder",
     "TieTape",
 ]
@@ -191,29 +189,3 @@ class TieTape:
         self.draws.append(value)
         return value
 
-
-class ReplayTransport(AsyncTransport):
-    """An async transport whose delivery order is forced by a recorded tape.
-
-    Args:
-        schedule: The schedule to force (only its :attr:`ReplaySchedule.ties`
-            tape concerns the transport; churn replay is the simulator's
-            job).  ``None`` — or an empty tape — yields deterministic FIFO
-            delivery.
-        latency: Latency model, exactly as for :class:`AsyncTransport`.
-    """
-
-    def __init__(
-        self,
-        schedule: ReplaySchedule | None = None,
-        latency: LatencyModel | None = None,
-    ) -> None:
-        # NB: AsyncTransport uses ``_schedule`` as its calendar-insert
-        # method; the forced schedule must live under a different name.
-        self._replay_schedule = schedule if schedule is not None else ReplaySchedule()
-        super().__init__(latency=latency, ready_rng=TieTape(self._replay_schedule.ties))
-
-    @property
-    def schedule(self) -> ReplaySchedule:
-        """The schedule this transport is forcing."""
-        return self._replay_schedule

@@ -5,17 +5,19 @@ and knows how to resolve :class:`~repro.net.envelope.DhtAddress` destinations
 through the DHT.  The protocol layer
 (:class:`~repro.core.protocol.ClashSystem`) never calls a server directly —
 it wraps every exchange in an :class:`~repro.net.envelope.Envelope` and hands
-it to the transport, which makes latency models, event-driven delivery and
-batching a matter of configuration rather than new protocol code paths.
+it to the transport, which makes latency models and event-driven delivery
+a matter of configuration rather than new protocol code paths.
 
-Three interchangeable implementations ship with the package:
+Three interchangeable implementations ship with the package (registered in
+:data:`repro.net.TRANSPORTS`):
 
 * :class:`~repro.net.inline.InlineTransport` — zero-overhead synchronous
   dispatch, preserving the original direct-call semantics bit for bit.
 * :class:`~repro.net.event.EventTransport` — routes envelopes through a
   :class:`~repro.sim.engine.SimulationEngine` with a pluggable latency model.
-* :class:`~repro.net.batching.BatchingTransport` — coalesces same-destination
-  envelopes (and DHT route resolutions) per load-check period.
+* :class:`~repro.net.asyncio_transport.AsyncTransport` — awaitable handlers
+  on a privately owned asyncio event loop with per-endpoint inboxes and a
+  seeded (or recorded) ready order.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class Transport(abc.ABC):
         self.routes_resolved = 0
         #: One-way envelopes dropped because their destination endpoint was
         #: unbound (server failure) between send and delivery.  Synchronous
-        #: transports never defer, so they never drop; the event and batching
+        #: transports never defer, so they never drop; the event and async
         #: transports count their in-flight losses here symmetrically.
         self.dropped_messages = 0
         #: Ring buffer of ``(time, server, payload type name)`` entries, one
@@ -123,8 +125,8 @@ class Transport(abc.ABC):
         self.log_deliveries = False
         #: True once :meth:`close` has run.  The simulator closes its
         #: transport deterministically at the end of every run; sweep tests
-        #: assert this flag so a leaked event loop or worker process cannot
-        #: ride on garbage-collection timing.
+        #: assert this flag so a leaked event loop cannot ride on
+        #: garbage-collection timing.
         self.closed = False
 
     # ------------------------------------------------------------------ #
@@ -160,8 +162,7 @@ class Transport(abc.ABC):
         (sharded deployments tag every server endpoint with its shard index).
         Delivery is unaffected — names stay globally unique — but the
         namespace lets callers enumerate one shard's endpoints
-        (:meth:`endpoints`) and is the seam a socket-backed transport will
-        use to route a whole shard to its worker process.
+        (:meth:`endpoints`).
         """
         if not name:
             raise ValueError("endpoint name must be non-empty")
@@ -175,7 +176,6 @@ class Transport(abc.ABC):
         """Remove an endpoint (e.g. after a server failure)."""
         self._handlers.pop(name, None)
         self._endpoint_shards.pop(name, None)
-        self.invalidate_routes()
 
     def endpoints(self, shard: int | None = None) -> list[str]:
         """Names of every bound endpoint (optionally one shard's only)."""
@@ -208,8 +208,7 @@ class Transport(abc.ABC):
 
         Exposed separately from delivery because the protocol sometimes needs
         the route before deciding what to send (a splitting server must know
-        whether the right child maps back to itself).  Subclasses may cache
-        resolutions; the base implementation always asks the resolver.
+        whether the right child maps back to itself).
         """
         if self._resolver is None:
             raise TransportError("transport has no DHT resolver installed")
@@ -231,9 +230,6 @@ class Transport(abc.ABC):
             raise TransportError(f"no endpoint bound for {name!r}")
         self.envelopes_delivered += 1
         return handler(envelope)
-
-    def invalidate_routes(self) -> None:
-        """Drop any cached DHT resolutions (ring membership changed)."""
 
     # ------------------------------------------------------------------ #
     # Latency surface (no-ops unless the transport models time)
@@ -266,18 +262,20 @@ class Transport(abc.ABC):
         """
 
     def flush(self) -> int:
-        """Deliver every deferred envelope; returns how many were delivered.
+        """Deliver every deferred envelope; returns how many left flight.
 
-        Called at least once per load-check period by the protocol layer.
-        Transports with no deferred delivery return 0.
+        The count includes envelopes dropped because their destination
+        unbound while they were in flight (see :attr:`dropped_messages`),
+        not only the ones a handler received.  Called at least once per
+        load-check period by the protocol layer.  Transports with no
+        deferred delivery return 0.
         """
         return 0
 
     def close(self) -> None:
-        """Release any resources the transport holds (event loops, sockets).
+        """Release any resources the transport holds.
 
-        Most transports hold none; the asyncio transport closes its event
-        loop here and the socket transport shuts down its worker processes.
-        Safe to call more than once.  Subclasses must call ``super().close()``
+        Inline and event hold none; the asyncio transport closes its event
+        loop here.  Safe to call more than once.  Subclasses must call ``super().close()``
         so :attr:`closed` flips for every implementation."""
         self.closed = True

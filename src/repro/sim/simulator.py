@@ -31,7 +31,7 @@ from repro.core.messages import MessageCategory
 from repro.core.protocol import ClashSystem
 from repro.dht.partition import PARTITION_KINDS, LoadProportionalPartition, PartitionMap
 from repro.net import TRANSPORT_KINDS, ConstantLatency, build_transport, transport_spec
-from repro.net.replay import ChurnEvent, RebalanceEvent, ReplaySchedule
+from repro.net.replay import ChurnEvent, RebalanceEvent, ReplaySchedule, TieTape
 from repro.sim.engine import SimulationEngine
 from repro.sim.loadmeasure import LoadMeasure
 from repro.sim.metrics import (
@@ -80,10 +80,8 @@ class SimulationParams:
         transport: Which transport carries protocol messages — one of
             :data:`repro.net.TRANSPORT_KINDS`: ``"inline"`` (synchronous, the
             seed semantics), ``"event"`` (event-kernel delivery with
-            simulated latency), ``"batching"`` (per-period coalescing),
-            ``"async"`` (asyncio event loop with awaitable handlers),
-            ``"replay"`` (recorded delivery schedules) or ``"socket"``
-            (one worker process per shard over msgpack frames).
+            simulated latency) or ``"async"`` (asyncio event loop with
+            awaitable handlers).
         link_latency: Base one-way message latency in seconds (transports
             that model time — ``event`` and ``async``; scenario phases may
             override it).
@@ -93,10 +91,7 @@ class SimulationParams:
             transports only).
         shards: Number of independent Chord rings the key space is
             partitioned across (power of two; ``1`` = the paper's single
-            global ring, bit-identical to the pre-sharding behaviour).  The
-            selected transport must be shard-aware
-            (:attr:`repro.net.registry.TransportSpec.shard_aware`) when
-            ``shards > 1``.
+            global ring, bit-identical to the pre-sharding behaviour).
         force_full_stabilise: Force every ring onto the from-scratch
             stabilisation path instead of the incremental repair.  Routing
             outcomes are identical either way (the incremental repair is
@@ -183,9 +178,9 @@ verify_invariants` after every membership event and at every period
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
             if getattr(self, name) > 0 and not transport_spec(self.transport).models_time:
-                # An engine-less transport (inline, batching, socket) has no
-                # clock to charge latency against; silently ignoring the knob
-                # would misreport the run's configuration.
+                # A clock-less transport (inline) has nothing to charge
+                # latency against; silently ignoring the knob would
+                # misreport the run's configuration.
                 raise ValueError(
                     f"{name} requires a time-modelling transport "
                     f"(transport {self.transport!r} does not model time)"
@@ -195,11 +190,6 @@ verify_invariants` after every membership event and at every period
             raise ValueError(
                 f"cannot spread {self.server_count} servers over {self.shards} "
                 "shards; every shard needs at least one server"
-            )
-        if self.shards > 1 and not transport_spec(self.transport).shard_aware:
-            raise ValueError(
-                f"transport {self.transport!r} is not shard-aware; "
-                "sharded runs need per-shard endpoint namespacing"
             )
         if self.partition not in PARTITION_KINDS:
             raise ValueError(
@@ -299,9 +289,11 @@ class FlowSimulator:
             instead of CLASH — the key space is partitioned once at that depth
             and load checks are disabled.
         schedule: A recorded :class:`~repro.net.replay.ReplaySchedule` to
-            force this run onto.  Its tie tape drives the ``replay`` transport
-            and, when :attr:`~repro.net.replay.ReplaySchedule.churn` is set,
-            the recorded membership events are executed verbatim (with their
+            force this run onto.  Its tie tape, wrapped in a
+            :class:`~repro.net.replay.TieTape`, replaces the seeded ready
+            stream (only the ``async`` transport draws from it) and, when
+            :attr:`~repro.net.replay.ReplaySchedule.churn` is set, the
+            recorded membership events are executed verbatim (with their
             recorded names and node ids) *instead of* drawing fresh Poisson
             arrivals — the churn RNG streams are never consumed, so the replay
             is a pure function of the schedule.
@@ -334,7 +326,10 @@ class FlowSimulator:
         seeds = SeedSequenceFactory(params.seed)
         # The delivery-order axis is independently seedable: the fuzzer
         # sweeps tie-break schedules without perturbing any workload stream.
-        if params.delivery_seed is not None:
+        # A forced schedule replaces the stream with its recorded tie tape.
+        if schedule is not None:
+            ready_stream = TieTape(schedule.ties)
+        elif params.delivery_seed is not None:
             ready_stream = SeedSequenceFactory(params.delivery_seed).stream("async-ready")
         else:
             ready_stream = seeds.stream("async-ready")
@@ -353,7 +348,6 @@ class FlowSimulator:
             per_hop_latency=params.per_hop_latency,
             rng=seeds.stream("latency"),
             ready_rng=ready_stream,
-            schedule=schedule,
         )
         self._system = ClashSystem.create(
             config,
@@ -636,7 +630,7 @@ class FlowSimulator:
         self._phase_index = index
         phase: ScenarioPhase = self._scenario.phase_at(index)
         if phase.link_latency is not None:
-            # No-op on transports that don't model time (inline, batching).
+            # No-op on the transport that doesn't model time (inline).
             self._transport.set_latency_model(ConstantLatency(phase.link_latency))
         if phase.fail_servers:
             # Sort once; removing each victim keeps the list identical to a
@@ -673,8 +667,8 @@ class FlowSimulator:
         identical across transports.  The event transport executes them as
         simulation-engine events at their arrival times (they can land in the
         middle of a message exchange, which is exactly the in-flight-loss
-        case the transport must survive); the inline and batching transports,
-        which have no clock, drain them at period boundaries.
+        case the transport must survive); the inline and async transports
+        drain them at period boundaries.
 
         A forced replay schedule supersedes the Poisson streams entirely:
         nothing is drawn (the arrival *and* identity draws share the churn
@@ -998,10 +992,9 @@ class FlowSimulator:
         """Run the full scenario and return the collected metrics.
 
         The transport is closed deterministically when the run ends —
-        success or failure — so event loops and worker processes never
-        outlive the simulation waiting for garbage collection (callers may
-        still close again; :meth:`~repro.net.transport.Transport.close` is
-        idempotent).
+        success or failure — so event loops never outlive the simulation
+        waiting for garbage collection (callers may still close again;
+        :meth:`~repro.net.transport.Transport.close` is idempotent).
         """
         try:
             return self._run_scenario()

@@ -10,7 +10,7 @@ event-driven transport and the simulator react to:
   servers join (:meth:`~repro.core.protocol.ClashSystem.handle_server_join`)
   and fail at seeded exponential inter-arrival times, scheduled as mid-phase
   events on the simulation engine for the event transport and drained at
-  period boundaries for the inline/batching transports.
+  period boundaries for the inline and async transports.
 * ``link_latency`` — a per-phase one-way message latency override, applied to
   the event transport's latency model for the duration of the phase.
 

@@ -7,6 +7,7 @@ import pathlib
 import pytest
 
 from repro.cli import build_parser, main
+from repro.net import TRANSPORT_KINDS
 
 
 class TestParser:
@@ -31,10 +32,11 @@ class TestParser:
         assert args.link_latency == 0.0
 
     def test_transport_choices(self):
-        for kind in ("inline", "event", "batching"):
+        for kind in TRANSPORT_KINDS:
             assert build_parser().parse_args(["fig4", "--transport", kind]).transport == kind
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["fig4", "--transport", "smoke-signals"])
+        for unknown in ("smoke-signals", "batching", "replay", "socket"):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["fig4", "--transport", unknown])
 
     def test_churn_rates_default_to_unset(self):
         # None (not 0.0) so the churn command can tell an explicit
@@ -147,24 +149,6 @@ class TestMain:
             first = (tmp_path / "first" / name).read_text()
             second = (tmp_path / "second" / name).read_text()
             assert first == second
-
-    def test_fig4_runs_over_batching_transport(self, tmp_path: pathlib.Path):
-        exit_code = main(
-            [
-                "fig4",
-                "--output-dir",
-                str(tmp_path),
-                "--scale-factor",
-                "100",
-                "--phase-periods",
-                "2",
-                "--transport",
-                "batching",
-                "--quiet",
-            ]
-        )
-        assert exit_code == 0
-        assert (tmp_path / "figure4.txt").exists()
 
     def test_churn_command_writes_sweep_report(self, tmp_path: pathlib.Path):
         exit_code = main(

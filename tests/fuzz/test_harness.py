@@ -6,7 +6,8 @@ import pytest
 
 from repro.fuzz.harness import FuzzCase, run_case
 from repro.fuzz.oracle import build_oracle
-from repro.net.replay import ReplaySchedule, ReplayTransport
+from repro.net.asyncio_transport import AsyncTransport
+from repro.net.replay import ReplaySchedule, TieTape
 
 
 class TestFuzzCase:
@@ -60,11 +61,12 @@ class TestFuzzCase:
         case = FuzzCase(transport="event", shards=4, partition="adaptive")
         assert case.scale().partition == "adaptive"
 
-    def test_replay_build_swaps_async_to_replay_transport(self):
+    def test_replay_build_forces_async_onto_the_tie_tape(self):
         case = FuzzCase(transport="async", scale_factor=100, phase_periods=1)
         simulator = case.build_simulator(schedule=ReplaySchedule())
         try:
-            assert isinstance(simulator.transport, ReplayTransport)
+            assert isinstance(simulator.transport, AsyncTransport)
+            assert isinstance(simulator.transport.ready_source, TieTape)
         finally:
             simulator.transport.close()
 

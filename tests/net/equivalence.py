@@ -2,11 +2,10 @@
 
 ``golden_seed.json`` was captured from the seed implementation *before* the
 transport refactor: a small flow-simulation run plus a depth-search trace on a
-skew-split deployment.  Any transport whose registry entry claims
-``exact_equivalence`` must reproduce those golden numbers — and inline
-``PeriodSample`` streams bit for bit — on the reference workloads; transports
-claiming ``churn_equivalence`` must stay bit-identical under period-boundary
-membership churn too.
+skew-split deployment.  Every registered transport must reproduce those
+golden numbers — and inline ``PeriodSample`` streams bit for bit — on the
+reference workloads; transports claiming ``churn_equivalence`` must stay
+bit-identical under period-boundary membership churn too.
 
 The helpers here are deliberately transport-agnostic so the equivalence tests
 parametrize over :data:`repro.net.TRANSPORTS` instead of hand-maintaining a
@@ -25,6 +24,7 @@ from repro.core.protocol import ClashSystem
 from repro.experiments.runner import ExperimentScale
 from repro.keys.identifier import RandomKeyGenerator
 from repro.net import build_transport
+from repro.net.replay import ReplaySchedule
 from repro.sim.simulator import FlowSimulator, SimulationResult
 from repro.util.rng import RandomStream
 from repro.workload.distributions import (
@@ -145,6 +145,7 @@ def run_flow(
     verify_membership: bool = False,
     shards: int = 1,
     partition: str = "static",
+    schedule: ReplaySchedule | None = None,
 ) -> SimulationResult:
     """One flow simulation on the given transport (zero link latency).
 
@@ -153,6 +154,7 @@ def run_flow(
     the golden capture pins.  ``partition`` selects the sharded runs' map
     (naming ``"static"`` explicitly must be indistinguishable from the
     pre-partition-map default — the golden guard asserts exactly that).
+    ``schedule`` forces the run onto a recorded delivery schedule.
     """
     simulator = FlowSimulator(
         config=scale.config(),
@@ -160,6 +162,7 @@ def run_flow(
             transport=transport_kind, shards=shards, partition=partition
         ),
         scenario=scenario,
+        schedule=schedule,
     )
     simulator.verify_after_membership = verify_membership
     try:

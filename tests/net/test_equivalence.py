@@ -1,10 +1,10 @@
 """Transport equivalence and integration tests.
 
 Parametrized over the :data:`repro.net.TRANSPORTS` registry: every transport
-claiming ``exact_equivalence`` must reproduce the golden seed capture and
-inline ``PeriodSample`` streams bit for bit on the reference workloads, and
-every transport claiming ``churn_equivalence`` must stay bit-identical under
-Poisson membership churn.  The shared machinery lives in
+must reproduce the golden seed capture and inline ``PeriodSample`` streams
+bit for bit on the reference workloads, and every transport claiming
+``churn_equivalence`` must stay bit-identical under Poisson membership
+churn.  The shared machinery lives in
 ``tests/net/equivalence.py``; registering a new transport automatically
 enrols it here.
 """
@@ -27,13 +27,13 @@ from equivalence import (
 )
 
 from repro.experiments.runner import ExperimentScale
-from repro.net import TRANSPORTS
-from repro.net.batching import BatchingTransport
+from repro.net import TRANSPORT_KINDS, TRANSPORTS
+from repro.net.asyncio_transport import AsyncTransport
 from repro.net.event import EventTransport
+from repro.net.replay import ReplaySchedule, TieTape
 from repro.sim.simulator import FlowSimulator, SimulationParams
 from repro.workload.scenario import churn_latency_scenario
 
-EXACT_KINDS = [kind for kind, spec in TRANSPORTS.items() if spec.exact_equivalence]
 CHURN_KINDS = [kind for kind, spec in TRANSPORTS.items() if spec.churn_equivalence]
 
 
@@ -63,7 +63,7 @@ def inline_reference(golden):
 class TestGoldenEquivalence:
     """Every exact-equivalence transport against the seed capture."""
 
-    @pytest.mark.parametrize("kind", EXACT_KINDS)
+    @pytest.mark.parametrize("kind", TRANSPORT_KINDS)
     def test_depth_search_trace_matches_seed(self, kind, golden):
         system, splits, config = build_traced_system(make_transport(kind))
         try:
@@ -71,7 +71,7 @@ class TestGoldenEquivalence:
         finally:
             system.transport.close()
 
-    @pytest.mark.parametrize("kind", EXACT_KINDS)
+    @pytest.mark.parametrize("kind", TRANSPORT_KINDS)
     def test_flow_simulation_matches_seed_metrics(self, kind, golden):
         scale = reference_scale(golden)
         result = run_flow(kind, scale, scale.scenario())
@@ -81,7 +81,7 @@ class TestGoldenEquivalence:
 class TestReferenceWorkloadEquivalence:
     """PeriodSample streams must be bit-identical to inline."""
 
-    @pytest.mark.parametrize("kind", [k for k in EXACT_KINDS if k != "inline"])
+    @pytest.mark.parametrize("kind", [k for k in TRANSPORT_KINDS if k != "inline"])
     @pytest.mark.parametrize("workload", REFERENCE_WORKLOADS)
     def test_reference_workload_bit_identical(
         self, kind, workload, golden, inline_reference
@@ -103,13 +103,51 @@ class TestReferenceWorkloadEquivalence:
         assert_samples_bit_identical(result, churn_ref)
 
 
-class TestBatchingEquivalence:
-    def test_route_cache_actually_engages(self, golden):
-        """Route coalescing must not change a single probe, reply or charge —
-        while demonstrably serving resolutions from the cache."""
-        system, splits, config = build_traced_system(BatchingTransport())
-        assert_depth_search_matches_golden(system, splits, config, golden)
-        assert system.transport.route_cache_hits > 0
+class TestForcedScheduleEquivalence:
+    """Async runs forced onto an empty ``ReplaySchedule`` — a FIFO tie tape
+    in place of the seeded ready stream — must reproduce the golden capture
+    and the inline streams, calm and churned."""
+
+    def test_flow_simulation_matches_seed_metrics(self, golden):
+        scale = reference_scale(golden)
+        result = run_flow(
+            "async", scale, scale.scenario(), schedule=ReplaySchedule()
+        )
+        assert_matches_golden_flow(result, golden)
+
+    def test_churn_scenario_bit_identical(self, golden, inline_reference):
+        scale = reference_scale(golden)
+        result = run_flow(
+            "async",
+            scale,
+            churn_scenario(scale),
+            verify_membership=True,
+            schedule=ReplaySchedule(),
+        )
+        assert_samples_bit_identical(result, inline_reference["churn"])
+
+    @pytest.mark.parametrize("workload", REFERENCE_WORKLOADS)
+    def test_reference_workload_bit_identical(
+        self, workload, golden, inline_reference
+    ):
+        scale = reference_scale(golden)
+        result = run_flow(
+            "async",
+            scale,
+            single_workload_scenario(workload, scale),
+            schedule=ReplaySchedule(),
+        )
+        assert_samples_bit_identical(result, inline_reference[workload])
+
+    def test_depth_search_trace_matches_seed(self, golden):
+        transport = AsyncTransport(ready_rng=TieTape())
+        system, splits, config = build_traced_system(transport)
+        try:
+            assert_depth_search_matches_golden(system, splits, config, golden)
+        finally:
+            transport.close()
+        assert transport.ready_source.draws
+        assert set(transport.ready_source.draws) == {0.0}
 
 
 class TestEventTransportIntegration:

@@ -1,12 +1,19 @@
-"""The replay transport: tie tapes, recorders and forced delivery order."""
+"""Schedule replay: tie tapes, recorders and forced delivery order.
+
+A recorded delivery order is forced by handing the async transport a
+:class:`~repro.net.replay.TieTape` as its ready source.
+"""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.net import TRANSPORTS, build_transport
+from repro.experiments.runner import ExperimentScale
+from repro.net import build_transport
+from repro.net.asyncio_transport import AsyncTransport
 from repro.net.envelope import Envelope
-from repro.net.replay import ReplaySchedule, ReplayTransport, TieRecorder, TieTape
+from repro.net.replay import ReplaySchedule, TieRecorder, TieTape
+from repro.sim.simulator import FlowSimulator
 from repro.util.rng import RandomStream
 
 
@@ -52,27 +59,12 @@ class _Log:
         return None
 
 
-class TestReplayTransport:
-    def test_registered_in_the_transport_registry(self):
-        spec = TRANSPORTS["replay"]
-        assert spec.models_time
-        assert spec.exact_equivalence
-        assert spec.churn_equivalence
-        assert spec.shard_aware
-        built = build_transport("replay")
-        try:
-            assert isinstance(built, ReplayTransport)
-            assert isinstance(built.ready_source, TieTape)
-        finally:
-            built.close()
-
+class TestForcedTieOrder:
     def test_default_schedule_is_empty(self):
-        transport = ReplayTransport()
-        try:
-            assert transport.schedule.ties == {}
-            assert transport.schedule.churn is None
-        finally:
-            transport.close()
+        schedule = ReplaySchedule()
+        assert schedule.ties == {}
+        assert schedule.churn is None
+        assert schedule.rebalances is None
 
     def test_forced_tie_order_reverses_simultaneous_posts(self):
         """Two same-instant posts deliver in tie order, not send order."""
@@ -82,7 +74,7 @@ class TestReplayTransport:
             # Force the second send to sort first.
             (ReplaySchedule(ties={0: 0.9, 1: 0.1}), [("b", 2), ("a", 1)]),
         ]:
-            transport = ReplayTransport(schedule=schedule)
+            transport = AsyncTransport(ready_rng=TieTape(schedule.ties))
             sink: list = []
             try:
                 transport.bind("a", _Log(sink, "a"))
@@ -94,13 +86,24 @@ class TestReplayTransport:
             finally:
                 transport.close()
 
-    def test_build_transport_threads_schedule(self):
-        schedule = ReplaySchedule(ties={3: 0.5})
-        built = build_transport("replay", schedule=schedule)
+    def test_simulator_installs_the_schedule_tape(self):
+        """FlowSimulator(schedule=...) hands the async transport the
+        schedule's tie tape instead of the seeded ready stream."""
+        scale = ExperimentScale.scaled(factor=100, phase_periods=1)
+        simulator = FlowSimulator(
+            scale.config(),
+            scale.params(transport="async"),
+            scale.scenario(),
+            schedule=ReplaySchedule(ties={0: 0.25}),
+        )
+        tape = simulator.transport.ready_source
         try:
-            assert built.schedule is schedule
+            assert isinstance(tape, TieTape)
+            simulator.run()
         finally:
-            built.close()
+            simulator.transport.close()
+        assert tape.draws[0] == 0.25
+        assert set(tape.draws[1:]) == {0.0}
 
 
 class TestDeliveryLogRingBuffer:

@@ -6,7 +6,6 @@ import pytest
 
 from repro.net import TRANSPORT_KINDS, TRANSPORTS, build_transport, transport_spec
 from repro.net.asyncio_transport import AsyncTransport
-from repro.net.batching import BatchingTransport
 from repro.net.envelope import DhtAddress, Envelope
 from repro.net.event import EventTransport
 from repro.net.inline import InlineTransport
@@ -221,152 +220,9 @@ class TestEventTransport:
         assert delivery.latency == pytest.approx(0.01 + 4 * 0.05 + 0.01)
 
 
-class TestBatchingTransport:
-    def test_posts_are_deferred_until_flush(self):
-        transport = BatchingTransport()
-        handler = _Recorder()
-        transport.bind("srv", handler)
-        transport.post(Envelope(source="cli", destination="srv", payload=1))
-        transport.post(Envelope(source="cli", destination="srv", payload=2))
-        assert handler.received == []
-        assert transport.pending == 2
-        assert transport.flush() == 2
-        assert [envelope.payload for envelope in handler.received] == [1, 2]
-        assert transport.pending == 0
-        assert transport.flush() == 0
-
-    def test_flush_preserves_per_destination_order(self):
-        transport = BatchingTransport()
-        handlers = {name: _Recorder() for name in ("a", "b")}
-        for name, handler in handlers.items():
-            transport.bind(name, handler)
-        for index in range(6):
-            destination = "a" if index % 2 == 0 else "b"
-            transport.post(
-                Envelope(source="cli", destination=destination, payload=index)
-            )
-        transport.flush()
-        assert [e.payload for e in handlers["a"].received] == [0, 2, 4]
-        assert [e.payload for e in handlers["b"].received] == [1, 3, 5]
-
-    def test_route_cache_replays_identical_hop_charges(self):
-        transport = BatchingTransport()
-        transport.bind("owner", _Recorder(reply="ok"))
-        calls = []
-
-        def resolver(key):
-            calls.append(key.value)
-            return _FakeLookup("owner", 7)
-
-        transport.set_resolver(resolver)
-        key = _FakeKey(42)
-        first = transport.request(
-            Envelope(source="c", destination=DhtAddress(key), payload="x")
-        )
-        second = transport.request(
-            Envelope(source="c", destination=DhtAddress(key), payload="y")
-        )
-        assert first.hops == second.hops == 7
-        assert calls == [42]  # one real DHT walk, one cache hit
-        assert transport.route_cache_hits == 1
-
-    def test_flush_opens_a_new_route_window(self):
-        transport = BatchingTransport()
-        transport.bind("owner", _Recorder())
-        calls = []
-
-        def resolver(key):
-            calls.append(key.value)
-            return _FakeLookup("owner", 1)
-
-        transport.set_resolver(resolver)
-        transport.request(
-            Envelope(source="c", destination=DhtAddress(_FakeKey(1)), payload="x")
-        )
-        transport.flush()
-        transport.request(
-            Envelope(source="c", destination=DhtAddress(_FakeKey(1)), payload="x")
-        )
-        assert calls == [1, 1]  # re-resolved after the window closed
-
-    def test_unbind_drops_cached_routes(self):
-        transport = BatchingTransport()
-        transport.bind("owner", _Recorder())
-        transport.set_resolver(lambda key: _FakeLookup("owner", 2))
-        transport.resolve(_FakeKey(9))
-        transport.unbind("owner")
-        assert transport._route_cache == {}
-
-    def test_envelopes_for_failed_endpoints_are_dropped_at_flush(self):
-        transport = BatchingTransport()
-        transport.bind("srv", _Recorder())
-        transport.post(Envelope(source="cli", destination="srv", payload=1))
-        transport.unbind("srv")
-        assert transport.flush() == 0  # dropped, not raised
-        assert transport.dropped_messages == 1
-
-    def test_all_dropped_flush_is_not_counted_as_a_batch(self):
-        """A flush where every queued envelope was dropped delivered nothing,
-        so it must not inflate batches_flushed."""
-        transport = BatchingTransport()
-        transport.bind("srv", _Recorder())
-        transport.post(Envelope(source="cli", destination="srv", payload=1))
-        transport.post(Envelope(source="cli", destination="srv", payload=2))
-        transport.unbind("srv")
-        assert transport.flush() == 0
-        assert transport.batches_flushed == 0
-        assert transport.dropped_messages == 2
-        # A flush that delivers something still counts.
-        transport.bind("srv", _Recorder())
-        transport.post(Envelope(source="cli", destination="srv", payload=3))
-        assert transport.flush() == 1
-        assert transport.batches_flushed == 1
-
-    def test_handler_unbinding_own_endpoint_mid_batch_drops_remainder(self):
-        """Regression: the bound check must run per envelope, not once per
-        destination.  A handler that unbinds its *own* endpoint while its
-        batch is draining (failure-triggered re-root) used to let the next
-        envelope reach ``_dispatch`` and abort the run with a bare
-        ``TransportError``; the remainder must be dropped and counted."""
-        transport = BatchingTransport()
-        received = []
-
-        def self_unbinding(envelope):
-            received.append(envelope.payload)
-            transport.unbind("srv")
-
-        transport.bind("srv", self_unbinding)
-        transport.bind("other", _Recorder())
-        for payload in (1, 2, 3):
-            transport.post(Envelope(source="cli", destination="srv", payload=payload))
-        transport.post(Envelope(source="cli", destination="other", payload=4))
-        assert transport.flush() == 2  # the first srv envelope + other's
-        assert received == [1]
-        assert transport.dropped_messages == 2
-
-    def test_rebind_mid_batch_resumes_delivery(self):
-        """The per-envelope recheck also means a handler that unbinds and
-        then *rebinds* its endpoint (recovery) sees delivery resume."""
-        transport = BatchingTransport()
-        received = []
-
-        def flapping(envelope):
-            received.append(envelope.payload)
-            transport.unbind("srv")
-            transport.bind("srv", flapping)
-
-        transport.bind("srv", flapping)
-        for payload in (1, 2, 3):
-            transport.post(Envelope(source="cli", destination="srv", payload=payload))
-        assert transport.flush() == 3
-        assert received == [1, 2, 3]
-        assert transport.dropped_messages == 0
-
-
 class TestBuildTransport:
     def test_kinds(self):
         assert isinstance(build_transport("inline"), InlineTransport)
-        assert isinstance(build_transport("batching"), BatchingTransport)
         assert isinstance(build_transport("event"), EventTransport)
         built = build_transport("async")
         assert isinstance(built, AsyncTransport)
@@ -374,15 +230,8 @@ class TestBuildTransport:
 
     def test_registry_is_the_single_source_of_truth(self):
         """Every enumeration derives from net.TRANSPORTS."""
+        assert TRANSPORT_KINDS == ("inline", "event", "async")
         assert TRANSPORT_KINDS == tuple(TRANSPORTS)
-        assert set(TRANSPORT_KINDS) == {
-            "inline",
-            "event",
-            "batching",
-            "async",
-            "replay",
-            "socket",
-        }
         for kind, spec in TRANSPORTS.items():
             assert spec.kind == kind
             assert transport_spec(kind) is spec
@@ -391,20 +240,29 @@ class TestBuildTransport:
                 assert built.endpoints() == []
             finally:
                 built.close()
-        # The equivalence contracts the golden harness relies on.
-        assert TRANSPORTS["inline"].exact_equivalence
-        assert TRANSPORTS["async"].exact_equivalence
-        assert TRANSPORTS["async"].churn_equivalence
-        assert not TRANSPORTS["event"].churn_equivalence
-        assert TRANSPORTS["event"].needs_engine
-        assert not TRANSPORTS["async"].needs_engine
-        # The socket transport is clock-less like batching: both equivalence
-        # contracts hold, and it is the shard-aware multi-process carrier.
-        assert TRANSPORTS["socket"].exact_equivalence
-        assert TRANSPORTS["socket"].churn_equivalence
-        assert TRANSPORTS["socket"].shard_aware
-        assert not TRANSPORTS["socket"].models_time
-        assert not TRANSPORTS["socket"].needs_engine
+
+    def test_registry_flags_are_exact(self):
+        """Every registered spec's flags, pinned exactly, plus the report-diff
+        capability build_transport derives from them (clock-less only):
+        (needs_engine, models_time, churn_equivalence, supports_report_diff).
+        """
+        flags = {}
+        for kind, spec in TRANSPORTS.items():
+            built = build_transport(kind)
+            try:
+                flags[kind] = (
+                    spec.needs_engine,
+                    spec.models_time,
+                    spec.churn_equivalence,
+                    built.supports_report_diff,
+                )
+            finally:
+                built.close()
+        assert flags == {
+            "inline": (False, False, True, True),
+            "event": (True, True, False, False),
+            "async": (False, True, True, False),
+        }
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

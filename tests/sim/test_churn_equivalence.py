@@ -2,9 +2,10 @@
 
 The Poisson churn schedule is drawn from dedicated seeded streams before any
 event executes, so the membership event sequence is a function of the seed
-and the scenario alone.  The clock-less transports (inline, batching) drain
-the events at identical points, so their runs must agree on *every* recorded
-metric; the event transport executes the same events on the simulation
+and the scenario alone.  The inline and async transports drain the events
+at identical period boundaries, so their runs agree on *every* recorded
+metric (``tests/net/test_equivalence.py`` holds them bit-identical under
+churn); the event transport executes the same events on the simulation
 engine and must complete with the same total membership activity.
 """
 
@@ -36,22 +37,7 @@ def _run(transport: str, join_rate: float = 0.01, fail_rate: float = 0.01):
     return simulator, result
 
 
-class TestInlineBatchingEquivalence:
-    def test_identical_samples_under_poisson_churn(self):
-        """A join+fail Poisson scenario produces identical message accounting
-        (and every other recorded metric) on inline vs. batching."""
-        _, inline_result = _run("inline")
-        _, batching_result = _run("batching")
-        inline_samples = inline_result.metrics.samples
-        batching_samples = batching_result.metrics.samples
-        assert len(inline_samples) == len(batching_samples)
-        assert inline_samples == batching_samples
-        assert inline_result.total_splits == batching_result.total_splits
-        assert inline_result.total_merges == batching_result.total_merges
-        assert (
-            inline_result.final_active_groups == batching_result.final_active_groups
-        )
-
+class TestInlineChurn:
     def test_churn_actually_happened(self):
         simulator, result = _run("inline")
         joins = sum(s.server_joins for s in result.metrics.samples)

@@ -72,26 +72,6 @@ def test_tiny_sharded_benchmark_config_executes():
 
 
 @pytest.mark.bench_smoke
-def test_tiny_socket_benchmark_config_executes():
-    """One miniature multi-process run of the bench_socket workload.
-
-    Asserts the two portable halves of the benchmark's contract — the
-    socket stream is bit-identical to inline and the wire plane really ran
-    inside worker processes — plus clean worker teardown, so CI can never
-    hang on a leaked child process.
-    """
-    import multiprocessing
-
-    bench = _import_from_path(BENCH_DIR / "bench_socket.py")
-
-    inline_result, _ = bench._timed_run("inline", factor=50, phase_periods=2)
-    socket_result, socket_sample = bench._timed_run("socket", factor=50, phase_periods=2)
-    bench._assert_streams_identical(socket_result, inline_result)
-    assert socket_sample.worker_envelopes > 0
-    assert multiprocessing.active_children() == []
-
-
-@pytest.mark.bench_smoke
 def test_tiny_paper_scale_benchmark_config_executes():
     """The paper-scale benchmark machinery on a miniature configuration.
 
