@@ -84,13 +84,11 @@ profile-paper:
 
 # Adversarial schedule fuzz smoke: a fixed-seed, small-budget sweep of
 # delivery orders and churn timings over the async transport (single ring,
-# 4 static shards and 4 adaptively partitioned shards), each structural
-# variant run with both the incremental work-queue balance pass and the
-# reference probe-everyone scan (--fuzz-full-scan), with the invariant
-# oracle at every quiescent point.  The run is deterministic; it must find
-# zero violations (exit 1 otherwise).  See docs/FUZZING.md.
+# 4 static shards and 4 adaptively partitioned shards), with the invariant
+# and liveness oracles at every quiescent point.  The run is deterministic;
+# it must find zero violations (exit 1 otherwise).  See docs/FUZZING.md.
 fuzz-smoke:
 	PYTHONPATH=src python -m repro fuzz --scale-factor 100 --phase-periods 2 \
-		--fuzz-budget 12 --fuzz-seeds 0:2 --fuzz-transports async \
-		--fuzz-shards 1,4 --join-rate 0.01 --fail-rate 0.01 --fuzz-full-scan \
+		--fuzz-budget 12 --fuzz-seeds 0:4 --fuzz-transports async \
+		--fuzz-shards 1,4 --join-rate 0.01 --fail-rate 0.01 \
 		--verify-invariants --quiet --output-dir /tmp/fuzz-smoke

@@ -14,7 +14,10 @@ The recorded metrics include the routing-tier work counters
 (``ring_finger_recomputations``, memo hit/invalidation counts), so the
 incremental-stabilisation win is itself drift-gated: a change that silently
 reverts rings to full rebuilds shows up as a metric failure, not merely a
-slow run.
+slow run.  They also include each period's balance iterations and the
+number of periods whose balance loop hit ``max_balance_iterations``;
+``--check`` additionally requires that every period converged and that the
+churn run stays under ``LOAD_CHECK_PROBE_CEILING`` verdict probes.
 
 Usage (from the repo root, also exposed as ``make bench-paper``)::
 
@@ -82,6 +85,7 @@ def _metrics(result: SimulationResult) -> dict[str, object]:
         "server_joins": sum(sample.server_joins for sample in samples),
         "server_failures": sum(sample.server_failures for sample in samples),
         "groups_reassigned": sum(sample.groups_reassigned for sample in samples),
+        "balance_iteration_series": [sample.balance_iterations for sample in samples],
         "split_series": [sample.splits for sample in samples],
         "merge_series": [sample.merges for sample in samples],
         "max_load_series": [_round(sample.max_load_percent) for sample in samples],
@@ -138,32 +142,46 @@ def profile_churn_run(
     return render_profile(stats, top=top, sort=sort)
 
 
-LOAD_CHECK_PROBE_CEILING = 600_000
+LOAD_CHECK_PROBE_CEILING = 7_200
 """Hard ceiling on the churn run's ``load_check_probes`` counter, asserted by
-``--check`` on top of the exact-drift gate.  The full-scan pass probed every
-server every iteration (~2.9M probes at paper scale under churn); the
-dirty-driven work queues need well under this many.  A change that quietly
-reverts the balance pass to probe-everyone trips this even if it also
+``--check`` on top of the exact-drift gate.  It is twice the 3,598 probes
+the converged balance loop with its verdict cache makes over the run's 84
+load checks; re-probing every server at every read instead takes 91,078.
+A change that quietly drops the verdict cache trips this even if it also
 re-records the baseline counters."""
 
 
-def _check_probe_ceiling(path: pathlib.Path) -> int:
-    """Assert the committed churn baseline's probe counter is under the ceiling."""
+def _check_gates(path: pathlib.Path) -> int:
+    """Assert the committed baseline's behavioural gates.
+
+    Every period of every paper-scale run converged (no ``balance_cap_hits``),
+    and the churn run's probe counter is under the ceiling.  The drift gate
+    holds the live runs to these committed numbers.
+    """
     import json
 
-    data = json.loads(path.read_text())
-    probes = data["benchmarks"]["paper_scale_churn"]["metrics"].get("load_check_probes")
+    benchmarks = json.loads(path.read_text())["benchmarks"]
+    status = 0
+    for name in BENCHMARKS:
+        hits = benchmarks[name]["metrics"].get("balance_cap_hits")
+        if hits != 0:
+            print(
+                f"paper-scale: FAIL {name} records balance_cap_hits={hits}; every "
+                "period's balance loop must converge within max_balance_iterations"
+            )
+            status = 1
+    probes = benchmarks["paper_scale_churn"]["metrics"].get("load_check_probes")
     if probes is None:
         print("paper-scale: FAIL churn baseline records no load_check_probes counter")
         return 1
     if probes > LOAD_CHECK_PROBE_CEILING:
         print(
             f"paper-scale: FAIL load_check_probes {probes} exceeds the "
-            f"committed ceiling {LOAD_CHECK_PROBE_CEILING} (balance pass "
+            f"committed ceiling {LOAD_CHECK_PROBE_CEILING} (the verdict cache "
             "regressed toward probe-everyone)"
         )
-        return 1
-    return 0
+        status = 1
+    return status
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -210,8 +228,8 @@ def main(argv: list[str] | None = None) -> int:
         rounds=ROUNDS,
         tag="paper-scale",
     )
-    ceiling_status = _check_probe_ceiling(args.baseline)
-    return status or ceiling_status
+    gate_status = _check_gates(args.baseline)
+    return status or gate_status
 
 
 if __name__ == "__main__":

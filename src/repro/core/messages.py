@@ -139,11 +139,17 @@ class AcceptKeyGroup:
             paper's ParentID = −1 — during a membership handoff.
         migrated_queries: Number of stored query objects migrated with the
             group (counted as state-transfer overhead).
+        estimated_rate: The splitting parent's estimate of the group's data
+            rate — half the parent group's measured rate, the same estimate
+            the parent keeps for its left child — which the receiver records
+            until its own measurement replaces it.  ``None`` (membership
+            handoffs) records nothing.
     """
 
     group: KeyGroup
     parent_server: str | None
     migrated_queries: int = 0
+    estimated_rate: float | None = None
 
 
 @dataclass(frozen=True, slots=True)

@@ -26,7 +26,6 @@ only their own tables, exactly as in the paper.
 
 from __future__ import annotations
 
-import heapq
 import inspect
 from dataclasses import dataclass, field
 
@@ -244,6 +243,13 @@ class ClashSystem:
                 used_ids.add(node_id)
                 self._router.add_server(name, node_id=node_id)
         self._router.stabilise()
+        # Overload-set tracking: servers push a load-change notification the
+        # moment any load input of theirs mutates, and run_load_check probes
+        # only the notified (dirty) servers, reusing cached overload /
+        # underload verdicts for everyone else.  A server with no cached
+        # verdicts yet is probed on first sight.
+        self._dirty_load_servers: set[str] = set()
+        self._load_flags: dict[str, tuple[bool, bool]] = {}
         self._servers: dict[str, ClashServer] = {}
         for name in server_names:
             self._servers[name] = self._make_server(name)
@@ -259,56 +265,15 @@ class ClashSystem:
         self._retired_assignments: list[tuple[KeyGroup, str]] = []
         self._messages = MessageStats()
         self._bootstrapped = False
-        # Overload-set tracking: servers push a load-change notification the
-        # moment any load input of theirs mutates, and run_load_check probes
-        # only the notified (dirty) servers, reusing cached overload /
-        # underload verdicts for everyone else.  Every server starts dirty.
-        self._dirty_load_servers: set[str] = set()
-        self._load_flags: dict[str, tuple[bool, bool]] = {}
-        # Work-queue state for the incremental balance pass.  Full scans
-        # visit ``list(self._servers.items())`` — creation (insertion) order —
-        # so every server gets a monotone order index at creation and the
-        # split / consolidation passes drain their dirty sets in index order,
-        # reproducing the full scan's visit order exactly (see
-        # :meth:`_drain_balance_queue` for the mid-pass admission rule).
-        self._server_order: dict[str, int] = {}
-        self._order_names: dict[int, str] = {}
-        self._order_counter = 0
-        self._dirty_split: set[str] = set()
-        self._dirty_merge: set[str] = set()
-        self._dirty_reports: set[str] = set()
-        self._pass_heap: list[int] | None = None
-        self._pass_cursor = -1
-        self._pass_boundary = 0
-        # Report-diff bookkeeping: per child server, the (parent, group)
-        # pairs whose delivered reports still stand on the parents, plus the
-        # parents touched by the most recent exchange (the consolidation
-        # pass's extra work source: report arrival does not mark a server
-        # load-dirty, but it can create merge candidates).
-        self._delivered_reports: dict[str, list[tuple[str, KeyGroup]]] = {}
-        self._standing_report_total = 0
-        self._last_report_recipients: set[str] = set()
         #: Fresh overload/underload probes performed by load checks (telemetry
         #: for the steady-state tests; cached verdicts are not counted).
         self.load_probes = 0
         #: How many times :meth:`consolidate_server` ran a candidate sweep.
         self.consolidation_probes = 0
-        #: Load-report posts elided by the report-diff exchange (the reports
-        #: already stood, bit-identical, on their parents).
-        self.reports_skipped = 0
-        #: When True, every load check probes every server and walks the full
-        #: membership snapshot (disables the dirty-set shortcut, the work
-        #: queues and the report-diff exchange; the equivalence tests compare
-        #: both modes).
-        self.force_full_load_scan = False
-        for name in self._servers:
-            self._track_new_server(name)
         self._transport = transport if transport is not None else InlineTransport()
         self._transport.set_resolver(self._router.lookup)
         for name, server in self._servers.items():
-            self._transport.bind(
-                name, self._make_endpoint(server), shard=self._router.server_shard(name)
-            )
+            self._transport.bind(name, self._make_endpoint(server))
 
     def _make_server(self, name: str) -> ClashServer:
         """Construct one server with this deployment's policy factories."""
@@ -324,40 +289,9 @@ class ClashSystem:
             split_policy=split_policy,
             merge_policy=merge_policy,
         )
-        server.set_load_listener(self._mark_server_load_dirty)
+        # Every load-input mutation marks the server's cached verdicts stale.
+        server.set_load_listener(self._dirty_load_servers.add)
         return server
-
-    def _track_new_server(self, name: str) -> None:
-        """Register a (freshly created) server with the balance work queues.
-
-        Assigns the creation-order index the work queues sort by and seeds
-        every dirty set: a new server has never been probed, so both balance
-        passes and the report exchange must look at it — exactly what a full
-        scan's ``name not in self._load_flags`` fallback would do.
-        """
-        order = self._order_counter
-        self._order_counter += 1
-        self._server_order[name] = order
-        self._order_names[order] = name
-        self._dirty_load_servers.add(name)
-        self._dirty_split.add(name)
-        self._dirty_merge.add(name)
-        self._dirty_reports.add(name)
-
-    def _mark_server_load_dirty(self, name: str) -> None:
-        """A server's load inputs changed; its cached verdicts are stale."""
-        self._dirty_load_servers.add(name)
-        self._dirty_split.add(name)
-        self._dirty_merge.add(name)
-        self._dirty_reports.add(name)
-        # A server dirtied while a balance pass is draining joins that pass's
-        # queue only if its position still lies ahead of the cursor *and* it
-        # existed when the pass started — the full scan would visit exactly
-        # those; everyone else keeps their dirty bit for the next pass.
-        if self._pass_heap is not None:
-            order = self._server_order.get(name)
-            if order is not None and self._pass_cursor < order < self._pass_boundary:
-                heapq.heappush(self._pass_heap, order)
 
     def _make_endpoint(self, server: ClashServer) -> AwaitableHandler:
         """The transport-facing handler for one server.
@@ -595,17 +529,14 @@ class ClashSystem:
           (:meth:`_load_verdicts` cache misses).
         * ``consolidation_probes`` — servers whose consolidation candidates
           were enumerated (:meth:`consolidate_server` calls).
-        * ``reports_skipped`` — load-report posts elided by the report-diff
-          exchange because the identical reports already stood on the parent.
 
-        The paper-scale benchmark gate records these so an incremental-pass
+        The paper-scale benchmark gate records these so a verdict-cache
         regression (suddenly probing everyone again) fails loudly even if
         wall-clock noise masks it.
         """
         return {
             "load_check_probes": self.load_probes,
             "consolidation_probes": self.consolidation_probes,
-            "reports_skipped": self.reports_skipped,
         }
 
     def make_client(self, name: str) -> ClashClient:
@@ -743,7 +674,10 @@ class ClashSystem:
 
         Implements Section 5: split the selected group, use the DHT to find
         the right child's owner, and transfer responsibility with
-        ``ACCEPT_KEYGROUP``.  If the DHT maps the right child back to the
+        ``ACCEPT_KEYGROUP``, which carries the parent's half-rate estimate
+        for the right child (the left child keeps the same estimate) so the
+        new owner does not report an unmeasured group as idle and invite an
+        immediate merge.  If the DHT maps the right child back to the
         splitting server, the depth is increased again (bounded by
         ``split_retry_limit``); each such self-collision leaves an extra local
         split behind, exactly as the paper describes.
@@ -762,13 +696,14 @@ class ClashSystem:
             if self._config.count_routing_hops:
                 self._messages.add(MessageCategory.DHT_ROUTING, hops)
             if child_owner != server_name:
-                left_group, right_group, migrated = server.perform_split(
+                left_group, right_group, migrated, right_rate = server.perform_split(
                     current, child_owner
                 )
                 transfer = AcceptKeyGroup(
                     group=right_group,
                     parent_server=server_name,
                     migrated_queries=len(migrated),
+                    estimated_rate=right_rate,
                 )
                 try:
                     self._transport.request(
@@ -830,134 +765,38 @@ class ClashSystem:
     # Consolidation
     # ------------------------------------------------------------------ #
 
-    @property
-    def report_diff_active(self) -> bool:
-        """Whether the exchange may elide re-posting unchanged report sets.
-
-        Requires a transport whose equivalence contract permits it (clock-less
-        delivery, no per-delivery RNG — see
-        :attr:`~repro.net.registry.TransportSpec.models_time`) and the
-        reference full-scan mode to be off.  The flow simulator consults this
-        to decide whether parents' child reports must still be wiped at every
-        iteration boundary.
-        """
-        return not self.force_full_load_scan and self._transport.supports_report_diff
-
-    def _invalidate_report_diff(self) -> None:
-        """Fall back to a full report exchange (membership or mode change).
-
-        Wipes the delivered-report bookkeeping *and* the reports parents
-        currently hold, and marks every child for re-delivery — together that
-        restores exactly the state a period-boundary clear plus a full
-        exchange would produce.  A no-op while no diff bookkeeping exists, so
-        transports that never run the diff exchange (event, async) keep their
-        mid-pass semantics untouched.
-        """
-        if not self._delivered_reports:
-            return
-        self._delivered_reports.clear()
-        self._standing_report_total = 0
-        for server in self._servers.values():
-            server.clear_child_reports()
-        self._dirty_reports.update(self._servers)
-
     def exchange_load_reports(self) -> int:
         """Deliver every leaf's periodic load report to its parent server.
 
         Returns the number of reports delivered (each is charged as one MERGE
-        message).  On transports whose equivalence contract allows it (see
-        :attr:`report_diff_active`) a child whose load inputs have not changed
-        since its reports last went out is skipped entirely: the identical
-        frozen reports already stand on its parents, so only the message
-        accounting is replayed (``reports_skipped`` counts the elided posts).
-        A report whose destination unbinds while the envelope is in flight is
-        counted once, in the transport's ``dropped_messages`` — it is neither
-        charged as a MERGE message nor counted as delivered.
+        message).  A report whose destination unbinds while the envelope is
+        in flight is counted once, in the transport's ``dropped_messages`` —
+        it is neither charged as a MERGE message nor counted as delivered.
         """
         posted = 0
-        reused = 0
-        recipients: set[str] = set()
         drops_before = self._transport.dropped_messages
-        if self.report_diff_active:
-            # Retract first: a child whose reports changed may no longer
-            # address some of the pairs it delivered earlier, and those must
-            # vanish from the parents before anyone posts — another child may
-            # have taken such a group over and re-report it this exchange.
-            for name in self._dirty_reports:
-                for parent_name, group in self._delivered_reports.get(name, ()):
-                    parent = self._servers.get(parent_name)
-                    if parent is not None:
-                        parent.discard_child_report(group)
-                        recipients.add(parent_name)
-            # Every unchanged child's reports already stand on the parents,
-            # bit-identical; only the accounting is replayed for them
-            # (``_standing_report_total`` tracks their aggregate count so
-            # this loop is O(dirty), not O(servers)).  Dirty children are
-            # visited in creation-order-index order — the same relative
-            # order the full scan posts in.
-            reused = self._standing_report_total
-            for _order, name in sorted(
-                (order, name)
-                for name in self._dirty_reports
-                if (order := self._server_order.get(name)) is not None
-            ):
-                server = self._servers.get(name)
-                if server is None:
+        # Snapshot: an event-transport churn event may alter membership
+        # while a report is in flight.
+        for server in list(self._servers.values()):
+            # The child knows its parent server directly: it is the
+            # ParentID recorded when the group was transferred.
+            for parent_name, report in server.addressed_load_reports():
+                if parent_name not in self._servers:
                     continue
-                self._dirty_reports.discard(name)
-                old = self._delivered_reports.get(name)
-                if old is not None:
-                    reused -= len(old)
-                kept: list[tuple[str, KeyGroup]] = []
-                for parent_name, report in server.addressed_load_reports():
-                    if parent_name not in self._servers:
-                        continue
-                    self._transport.post(
-                        Envelope(
-                            source=server.name,
-                            destination=parent_name,
-                            payload=report,
-                            category=MessageCategory.MERGE,
-                        )
+                self._transport.post(
+                    Envelope(
+                        source=server.name,
+                        destination=parent_name,
+                        payload=report,
+                        category=MessageCategory.MERGE,
                     )
-                    posted += 1
-                    kept.append((parent_name, report.group))
-                    recipients.add(parent_name)
-                self._delivered_reports[name] = kept
-                self._standing_report_total += len(kept) - (
-                    len(old) if old is not None else 0
                 )
-        else:
-            # Full exchange.  If diff bookkeeping exists (the mode was just
-            # switched off), wipe it and the standing reports so this
-            # exchange rebuilds the canonical full state.
-            self._invalidate_report_diff()
-            # Snapshot: an event-transport churn event may alter membership
-            # while a report is in flight.
-            for server in list(self._servers.values()):
-                # The child knows its parent server directly: it is the
-                # ParentID recorded when the group was transferred.
-                for parent_name, report in server.addressed_load_reports():
-                    if parent_name not in self._servers:
-                        continue
-                    self._transport.post(
-                        Envelope(
-                            source=server.name,
-                            destination=parent_name,
-                            payload=report,
-                            category=MessageCategory.MERGE,
-                        )
-                    )
-                    posted += 1
-                    recipients.add(parent_name)
+                posted += 1
         # Deferred-delivery transports hold the reports in flight; they must
         # land before consolidation reads them.
         self._transport.flush()
-        dropped = self._transport.dropped_messages - drops_before
-        delivered = posted - dropped + reused
+        delivered = posted - (self._transport.dropped_messages - drops_before)
         self._messages.add(MessageCategory.MERGE, delivered)
-        self.reports_skipped += reused
-        self._last_report_recipients = recipients
         return delivered
 
     def consolidate_server(self, server_name: str) -> list[MergeOutcome]:
@@ -1055,11 +894,7 @@ class ClashSystem:
         (its own split, a transfer landing on it) re-dirties it through the
         load listener, so a verdict read later in the same pass is refreshed.
         """
-        if (
-            self.force_full_load_scan
-            or name in self._dirty_load_servers
-            or name not in self._load_flags
-        ):
+        if name in self._dirty_load_servers or name not in self._load_flags:
             verdicts = (server.is_overloaded(), server.is_underloaded())
             self._load_flags[name] = verdicts
             self._dirty_load_servers.discard(name)
@@ -1090,107 +925,32 @@ class ClashSystem:
             if not outcome.shed:
                 break
 
-    def _drain_balance_queue(self, dirty: set[str], visit) -> None:
-        """Visit the dirty servers in the full scan's exact order.
-
-        The reference full scan iterates ``self._servers`` — insertion order:
-        seed servers in creation order, joiners appended, failed servers
-        deleted.  This drain replays that order over only the dirty subset by
-        walking a min-heap of per-server order indexes.  Servers dirtied
-        *behind* the cursor while the pass runs stay queued for the next pass
-        (the full scan's snapshot would likewise not revisit them); servers
-        dirtied *ahead* of the cursor are pushed into the live heap by
-        :meth:`_mark_server_load_dirty` so the pass picks them up, exactly as
-        the full scan's later iterations would.  Servers that join mid-pass
-        sit beyond ``_pass_boundary`` and wait for the next pass (the full
-        scan's snapshot excludes them too).
-        """
-        self._pass_boundary = self._order_counter
-        heap = [
-            order
-            for name in dirty
-            if (order := self._server_order.get(name)) is not None
-            and order < self._pass_boundary
-        ]
-        heapq.heapify(heap)
-        self._pass_heap = heap
-        self._pass_cursor = -1
-        try:
-            while heap:
-                order = heapq.heappop(heap)
-                if order <= self._pass_cursor:
-                    continue  # lazy-deleted duplicate push
-                self._pass_cursor = order
-                name = self._order_names.get(order)
-                if name is None or name not in dirty:
-                    continue
-                dirty.discard(name)
-                server = self._servers.get(name)
-                if server is None:
-                    continue
-                visit(name, server)
-        finally:
-            self._pass_heap = None
-            self._pass_cursor = -1
-
     def run_load_check(self, max_splits_per_server: int = 4) -> _LoadCheckReport:
         """One system-wide LOAD_CHECK_PERIOD pass: split hot servers, merge cold ones.
 
         Overloaded servers split repeatedly (up to ``max_splits_per_server``)
-        until they drop below the overload threshold; under-loaded servers
-        exchange load reports with parents and consolidate cold sibling pairs.
-        In steady state the pass is O(servers whose load actually changed):
-        each phase drains a dirty work queue in the full scan's visit order
-        (see :meth:`_drain_balance_queue`), and a server whose load inputs
-        are untouched is neither probed (:meth:`_load_verdicts`) nor offered
-        for consolidation — its cached verdicts and standing reports are
-        still exact.  ``force_full_load_scan`` restores the reference
-        every-server scan for equivalence testing.
+        until they drop below the overload threshold; then every leaf reports
+        its load to its parent, and under-loaded servers consolidate cold
+        sibling pairs.  Each server's overload/underload verdicts come from
+        :meth:`_load_verdicts`, which re-probes only servers whose load
+        inputs changed since their last probe.
         """
         report = _LoadCheckReport()
-        if self.force_full_load_scan:
-            # Reference path: both passes iterate a snapshot and re-check
-            # membership — a churn event delivered by the event transport
-            # mid-exchange may add or remove servers while the pass runs.
-            for name, server in list(self._servers.items()):
-                if name not in self._servers:
-                    continue
-                if not self._load_verdicts(name, server)[0]:
-                    continue
+        # Both passes iterate a snapshot and re-check membership — a churn
+        # event delivered by the event transport mid-exchange may add or
+        # remove servers while the pass runs.
+        for name, server in list(self._servers.items()):
+            if name in self._servers and self._load_verdicts(name, server)[0]:
                 self._split_hot_server(name, server, max_splits_per_server, report)
-            self.exchange_load_reports()
-            for name, server in list(self._servers.items()):
-                if name not in self._servers or not server.is_active():
-                    continue
-                # Consolidation only runs on servers that are themselves
-                # under-loaded (the paper's "under conditions of
-                # under-load"); merging into a busy server would immediately
-                # re-trigger a split.
-                if self._load_verdicts(name, server)[1]:
-                    report.merges.extend(self.consolidate_server(name))
-        else:
-
-            def split_visit(name: str, server: ClashServer) -> None:
-                if self._load_verdicts(name, server)[0]:
-                    self._split_hot_server(name, server, max_splits_per_server, report)
-
-            def merge_visit(name: str, server: ClashServer) -> None:
-                if not server.is_active():
-                    return
-                if self._load_verdicts(name, server)[1]:
-                    report.merges.extend(self.consolidate_server(name))
-
-            self._drain_balance_queue(self._dirty_split, split_visit)
-            self.exchange_load_reports()
-            # A parent whose standing child reports changed this exchange
-            # (post or retraction) may have gained or lost consolidation
-            # candidates even though its own load inputs never moved.
-            self._dirty_merge.update(
-                name
-                for name in self._last_report_recipients
-                if name in self._servers
-            )
-            self._drain_balance_queue(self._dirty_merge, merge_visit)
+        self.exchange_load_reports()
+        for name, server in list(self._servers.items()):
+            if name not in self._servers or not server.is_active():
+                continue
+            # Consolidation only runs on servers that are themselves
+            # under-loaded (the paper's "under conditions of under-load");
+            # merging into a busy server would immediately re-trigger a split.
+            if self._load_verdicts(name, server)[1]:
+                report.merges.extend(self.consolidate_server(name))
         report.touched_groups |= self.drain_touched_groups()
         report.retired_assignments.extend(self.drain_retired_assignments())
         return report
@@ -1257,14 +1017,10 @@ class ClashSystem:
         if joiner in self._servers:
             raise ValueError(f"server {joiner!r} is already part of the deployment")
         server = self._make_server(joiner)
-        shard = self._router.add_server(joiner, node_id=node_id)
+        self._router.add_server(joiner, node_id=node_id)
         self._router.stabilise()
         self._servers[joiner] = server
-        self._track_new_server(joiner)
-        # Membership changed: standing report-diff state may address groups
-        # the handoff below moves, so fall back to a full exchange.
-        self._invalidate_report_diff()
-        self._transport.bind(joiner, self._make_endpoint(server), shard=shard)
+        self._transport.bind(joiner, self._make_endpoint(server))
         moving = [
             (group, owner)
             for group, owner in sorted(self._group_owner.items())
@@ -1396,9 +1152,6 @@ class ClashSystem:
             != current.shard_of_key(group.virtual_key)
         ]
         self._router.set_partition(new_map)
-        # Standing report-diff state may address groups the migration loop
-        # moves: fall back to a full exchange.
-        self._invalidate_report_diff()
         migrated: dict[KeyGroup, str] = {}
         for group, former in moving:
             new_owner = self._router.owner_of_key(group.virtual_key)
@@ -1498,16 +1251,7 @@ class ClashSystem:
                         break
         del self._servers[failed]
         self._dirty_load_servers.discard(failed)
-        self._dirty_split.discard(failed)
-        self._dirty_merge.discard(failed)
-        self._dirty_reports.discard(failed)
         self._load_flags.pop(failed, None)
-        order = self._server_order.pop(failed, None)
-        if order is not None:
-            self._order_names.pop(order, None)
-        # Membership changed: survivors' standing reports may address groups
-        # the recovery below re-homes, so fall back to a full exchange.
-        self._invalidate_report_diff()
         self._transport.unbind(failed)
         self._router.remove_server(failed)
         reassigned: dict[KeyGroup, str] = {}

@@ -307,11 +307,16 @@ class ClashServer:
         """Accept responsibility for a key group shed by an overloaded peer.
 
         Acceptance is mandatory (Section 5); the receiving server may later
-        split the group further if it is itself overloaded.
+        split the group further if it is itself overloaded.  A split transfer
+        carries the parent's rate estimate for the group, which stands in for
+        a measurement until the next one arrives: without it the group would
+        report load 0.0 and look mergeable the moment it was shed.
         """
         self._table.add_entry(
             ServerTableEntry(group=message.group, parent_id=message.parent_server)
         )
+        if message.estimated_rate is not None:
+            self._group_rates[message.group] = message.estimated_rate
         if queries:
             self._queries.add_all(queries)
         self._notify_load_changed()
@@ -386,23 +391,24 @@ class ClashServer:
 
     def perform_split(
         self, group: KeyGroup, right_child_server: str
-    ) -> tuple[KeyGroup, KeyGroup, list[Query]]:
+    ) -> tuple[KeyGroup, KeyGroup, list[Query], float]:
         """Split ``group`` and extract the state migrating to the right child.
 
-        Returns ``(left, right, migrated_queries)``.  The caller (the
-        :class:`~repro.core.protocol.ClashSystem`) is responsible for
-        delivering the ``ACCEPT_KEYGROUP`` message and the queries to the
-        right-child server.
+        Returns ``(left, right, migrated_queries, right_rate)``.  The caller
+        (the :class:`~repro.core.protocol.ClashSystem`) is responsible for
+        delivering the ``ACCEPT_KEYGROUP`` message, the queries and the
+        ``right_rate`` estimate to the right-child server.
         """
         rate = self._group_rates.pop(group, 0.0)
         left, right = self._table.record_split(group, right_child_server)
         migrated = self._queries.extract_group(right)
-        # Until fresh measurements arrive, attribute half the parent's rate to
-        # the remaining left child (the key space halves under a split).
+        # Until fresh measurements arrive, each child is estimated at half
+        # the parent's rate (the key space halves under a split): the left
+        # child keeps it here, the right child receives it with the transfer.
         self._group_rates[left] = rate / 2.0
         self.splits_performed += 1
         self._notify_load_changed()
-        return left, right, migrated
+        return left, right, migrated, rate / 2.0
 
     def undo_split(self, group: KeyGroup, queries: list[Query] | None = None) -> None:
         """Revert a :meth:`perform_split` whose transfer was never delivered.
@@ -482,17 +488,6 @@ class ClashServer:
     def receive_load_report(self, report: LoadReport) -> None:
         """Record a child's load report for the current interval."""
         self._child_reports[report.group] = report
-
-    def discard_child_report(self, group: KeyGroup) -> None:
-        """Forget the child load report recorded for ``group`` (if any).
-
-        The report-diff exchange uses this to retract a report that a
-        re-delivering child no longer addresses here — the state a
-        period-boundary :meth:`clear_child_reports` would have wiped.  Like
-        report delivery, it does not notify the load listener: child reports
-        are consolidation inputs, not load inputs.
-        """
-        self._child_reports.pop(group, None)
 
     def consolidation_candidates(self) -> list[KeyGroup]:
         """Inactive parent groups whose two children are currently both cold.

@@ -14,7 +14,9 @@ Two oracles ship:
 
 * :class:`InvariantOracle` (``"invariants"``) — the real one: the full
   protocol invariant pass (prefix-freeness, coverage, ownership registry,
-  shard locality) plus metric sanity checks on every period sample.
+  shard locality), liveness of the balance loop (in every steady period the
+  loop converges and no group splits and merges back) and metric sanity
+  checks on every period sample.
 * :class:`TieWitnessOracle` (``"tie-witness"``) — a synthetic oracle for
   testing the fuzz loop itself: it "fails" exactly when every one of its
   witness tie-break draws exceeded a threshold, which makes the minimal
@@ -74,16 +76,36 @@ class FuzzOracle:
 
 
 class InvariantOracle(FuzzOracle):
-    """The production oracle: protocol invariants + metric sanity.
+    """The production oracle: protocol invariants, liveness, metric sanity.
 
     ``check_system`` wraps
-    :meth:`~repro.core.protocol.ClashSystem.verify_invariants`;
-    ``check_sample`` re-runs it and then validates the period metrics
-    (loads, depths, rates, latency and shard fields must be finite, ordered
-    and non-negative).
+    :meth:`~repro.core.protocol.ClashSystem.verify_invariants` and tracks
+    which key groups the period split and merged (only splits and merges
+    change the set of active groups; churn and rebalances move owners).
+    ``check_sample`` re-runs it and then checks the liveness of every
+    *steady* period, one that kept the previous period's workload and
+    partition map: ``liveness:no-thrash`` (no group both split and merged
+    back) and ``liveness:converged`` (the balance loop ended before
+    ``max_balance_iterations``).  The convergence check is waived while
+    some shard is saturated, i.e. its mean server load is above the
+    underload threshold: a split sheds half a group onto a hash-chosen peer
+    of the same shard, which then is itself likely near overload, so
+    splitting goes on without cooling the shard (the static partition puts
+    a skewed workload's whole hot region on one shard).  A phase-entry or
+    re-partitioned period may legitimately need more iterations than the
+    cap to absorb the change; the simulator still reports every cap hit
+    (sample flag, ``balance_cap_hits`` note, warning).  Last come the
+    period metrics (loads, depths, rates, latency and shard fields must be
+    finite, ordered and non-negative).
     """
 
     name = "invariants"
+
+    def __init__(self) -> None:
+        self._active: set | None = None
+        self._split: set = set()
+        self._merged: set = set()
+        self._last_period: tuple[str, int] | None = None
 
     def check_system(self, system) -> None:
         try:
@@ -92,13 +114,56 @@ class InvariantOracle(FuzzOracle):
             raise
         except AssertionError as error:
             raise OracleViolation("invariants", str(error)) from error
+        active = set(system.active_groups())
+        if self._active is not None:
+            self._split |= {
+                group for group in self._active - active
+                if any(child in active for child in group.split())
+            }
+            self._merged |= {
+                group for group in active - self._active
+                if any(child in self._active for child in group.split())
+            }
+        self._active = active
 
     def check_sample(self, system, sample: PeriodSample) -> None:
         self.check_system(system)
+        period = (sample.workload, sample.partition_version)
+        steady = period == self._last_period
+        thrashed = sorted(self._split & self._merged) if steady else []
+        self._last_period = period
+        self._split, self._merged = set(), set()
+        if steady and not sample.balance_converged and not self._saturated(system):
+            raise OracleViolation(
+                "liveness:converged",
+                f"the balance loop hit its cap after {sample.balance_iterations} "
+                f"iterations with splits={sample.splits} merges={sample.merges} "
+                f"at t={sample.time}",
+            )
+        if thrashed:
+            raise OracleViolation(
+                "liveness:no-thrash",
+                f"{len(thrashed)} group(s) split and merged back within the "
+                f"steady period ending at t={sample.time}, first {thrashed[0]}",
+            )
         for check, passed, detail in self._sample_checks(sample):
             if not passed:
                 raise OracleViolation(check, detail)
         self._check_partition(system)
+
+    @staticmethod
+    def _saturated(system) -> bool:
+        """True when some shard's mean server load is above the underload
+        threshold."""
+        router = system.router
+        totals = [0.0] * router.shard_count
+        counts = [0] * router.shard_count
+        for name, server in system.servers().items():
+            shard = router.server_shard(name)
+            totals[shard] += server.total_load()
+            counts[shard] += 1
+        limit = system.config.underload_load
+        return any(total > limit * count for total, count in zip(totals, counts))
 
     @staticmethod
     def _check_partition(system) -> None:

@@ -141,6 +141,4 @@ def build_transport(
     latency: LatencyModel | None = None
     if spec.models_time:
         latency = _latency_model(link_latency, latency_jitter, per_hop_latency, rng)
-    transport = spec.factory(engine=engine, latency=latency, ready_rng=ready_rng)
-    transport.supports_report_diff = not spec.models_time
-    return transport
+    return spec.factory(engine=engine, latency=latency, ready_rng=ready_rng)

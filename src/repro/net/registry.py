@@ -53,15 +53,6 @@ class TransportSpec:
             drained at period boundaries.
         models_time: Deliveries are priced by a latency model and the
             transport keeps a clock (``link_latency`` & friends apply).
-            Clock-less transports also let the protocol layer skip
-            re-posting load reports whose content the destination already
-            holds (the report-diff exchange in
-            :meth:`~repro.core.protocol.ClashSystem.exchange_load_reports`):
-            on a transport that prices each delivery or draws per-delivery
-            RNG, eliding an envelope would shift every later sample.
-            :func:`repro.net.build_transport` derives
-            :attr:`~repro.net.transport.Transport.supports_report_diff` from
-            this flag.
         churn_equivalence: Zero-latency runs reproduce inline
             ``PeriodSample`` streams bit for bit under membership churn too.
     """

@@ -93,19 +93,8 @@ class Transport(abc.ABC):
     until :meth:`flush`).
     """
 
-    #: Whether the protocol layer may elide re-posting a load report whose
-    #: content the destination already holds (the report-diff exchange).
-    #: Eliding a post is only stream-preserving on transports that neither
-    #: price deliveries with a latency model nor draw per-delivery RNG — a
-    #: skipped envelope would otherwise shift every later sample/draw.  The
-    #: flag is stamped from :class:`~repro.net.registry.TransportSpec` by
-    #: :func:`repro.net.build_transport`; directly-constructed transports
-    #: keep the conservative class default (full delivery, always safe).
-    supports_report_diff = False
-
     def __init__(self) -> None:
         self._handlers: dict[str, Handler] = {}
-        self._endpoint_shards: dict[str, int] = {}
         self._resolver: RouteResolver | None = None
         self.envelopes_delivered = 0
         self.routes_resolved = 0
@@ -155,41 +144,19 @@ class Transport(abc.ABC):
     # Endpoint management
     # ------------------------------------------------------------------ #
 
-    def bind(self, name: str, handler: Handler, shard: int | None = None) -> None:
-        """Register (or replace) the handler for endpoint ``name``.
-
-        ``shard`` optionally namespaces the endpoint under a ring shard
-        (sharded deployments tag every server endpoint with its shard index).
-        Delivery is unaffected — names stay globally unique — but the
-        namespace lets callers enumerate one shard's endpoints
-        (:meth:`endpoints`).
-        """
+    def bind(self, name: str, handler: Handler) -> None:
+        """Register (or replace) the handler for endpoint ``name``."""
         if not name:
             raise ValueError("endpoint name must be non-empty")
         self._handlers[name] = handler
-        if shard is None:
-            self._endpoint_shards.pop(name, None)
-        else:
-            self._endpoint_shards[name] = shard
 
     def unbind(self, name: str) -> None:
         """Remove an endpoint (e.g. after a server failure)."""
         self._handlers.pop(name, None)
-        self._endpoint_shards.pop(name, None)
 
-    def endpoints(self, shard: int | None = None) -> list[str]:
-        """Names of every bound endpoint (optionally one shard's only)."""
-        if shard is None:
-            return list(self._handlers)
-        return [
-            name
-            for name in self._handlers
-            if self._endpoint_shards.get(name) == shard
-        ]
-
-    def endpoint_shard(self, name: str) -> int | None:
-        """The shard namespace ``name`` was bound under (``None`` if untagged)."""
-        return self._endpoint_shards.get(name)
+    def endpoints(self) -> list[str]:
+        """Names of every bound endpoint."""
+        return list(self._handlers)
 
     def is_bound(self, name: str) -> bool:
         """True while ``name`` has a handler (False once it fails/unbinds)."""

@@ -59,6 +59,13 @@ class PeriodSample:
             rebalances during the period (0 with the static partition).
         partition_version: Version of the partition map in force at the end
             of the period (0 for single-ring runs and the static partition).
+        balance_iterations: Assign-loads / load-check iterations the period's
+            balance loop ran (0 for fixed-depth baselines, which never
+            balance).
+        balance_converged: Whether the balance loop ended on an iteration
+            with no split and no merge; False means it hit
+            ``max_balance_iterations`` while the configuration was still
+            moving.
     """
 
     time: float
@@ -83,6 +90,8 @@ class PeriodSample:
     cross_shard_imbalance: float = 0.0
     groups_migrated: int = 0
     partition_version: int = 0
+    balance_iterations: int = 0
+    balance_converged: bool = True
 
 
 @dataclass(frozen=True)

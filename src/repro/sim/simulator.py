@@ -24,6 +24,7 @@ which is exactly the paper's non-adaptive comparison.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field
 
 from repro.core.config import ClashConfig
@@ -74,7 +75,10 @@ class SimulationParams:
         lookup_sample_size: Number of real (message-level) depth searches
             executed per period to estimate the per-lookup message cost.
         max_balance_iterations: Upper bound on assign-loads / load-check
-            iterations per period.
+            iterations per period.  A period that reaches it while still
+            splitting or merging did not converge: it is recorded in the
+            sample, counted in the result's ``balance_cap_hits`` note and
+            reported with a :class:`RuntimeWarning`.
         max_splits_per_server_per_iteration: Splits one server may perform in
             a single load-check pass.
         transport: Which transport carries protocol messages — one of
@@ -97,12 +101,6 @@ class SimulationParams:
             outcomes are identical either way (the incremental repair is
             bit-exact); this is the reference mode the equivalence suite and
             the paper-scale benchmark compare against.
-        force_full_load_scan: Force every balance pass onto the reference
-            every-server scan (and full load-report exchange) instead of the
-            dirty-driven work queues and report-diff delivery.  Metric
-            streams are identical either way (the incremental pass is
-            bit-exact); this is the reference mode the equivalence suite
-            compares against.
         verify_invariants: Run :meth:`~repro.core.protocol.ClashSystem.\
 verify_invariants` after every membership event and at every period
             boundary.  Off by default (it is pure overhead on a healthy run);
@@ -138,7 +136,6 @@ verify_invariants` after every membership event and at every period
     per_hop_latency: float = 0.0
     shards: int = 1
     force_full_stabilise: bool = False
-    force_full_load_scan: bool = False
     verify_invariants: bool = False
     delivery_seed: int | None = None
     churn_seed: int | None = None
@@ -146,7 +143,6 @@ verify_invariants` after every membership event and at every period
 
     def __post_init__(self) -> None:
         check_type("force_full_stabilise", self.force_full_stabilise, bool)
-        check_type("force_full_load_scan", self.force_full_load_scan, bool)
         check_type("verify_invariants", self.verify_invariants, bool)
         for name in ("delivery_seed", "churn_seed"):
             value = getattr(self, name)
@@ -359,8 +355,6 @@ class FlowSimulator:
         )
         if params.force_full_stabilise:
             self._system.set_force_full_stabilise(True)
-        if params.force_full_load_scan:
-            self._system.force_full_load_scan = True
         self._system.bootstrap(config.initial_depth)
         self._churn_rng = seeds.stream("churn")
         # Poisson-arrival churn within phases.  Joins and failures draw from
@@ -446,6 +440,7 @@ class FlowSimulator:
         self._recorder = MetricsRecorder()
         self._total_splits = 0
         self._total_merges = 0
+        self._balance_cap_hits = 0
         # Incremental load-assignment state: the measure the current
         # assignment was computed from, and the groups whose assignment has
         # been perturbed (by splits, merges, handoffs or churn) since then.
@@ -544,13 +539,10 @@ class FlowSimulator:
         ``(group, former owner)`` pairs are discarded (a stale query override
         would otherwise be resurrected if the group re-activates there).
         """
-        # Under the report-diff exchange the standing reports ARE the state
-        # (unchanged children never re-post); wiping them here would turn
-        # every parent's report set stale forever.  The full exchange
-        # re-posts everything each iteration, so the wipe is what keeps
-        # reports from servers that lost their groups from lingering.
-        if not self._system.report_diff_active:
-            self._system.clear_all_child_reports()
+        # The exchange re-posts every report each iteration, so the wipe is
+        # what keeps reports from servers that lost their groups from
+        # lingering.
+        self._system.clear_all_child_reports()
         for group, former_owner in retired:
             try:
                 server = self._system.server(former_owner)
@@ -908,19 +900,22 @@ class FlowSimulator:
     # Protocol reaction within one period
     # ------------------------------------------------------------------ #
 
-    def _balance(self, measure: LoadMeasure) -> tuple[int, int, float, float]:
+    def _balance(self, measure: LoadMeasure) -> tuple[int, int, float, int, bool]:
         """Let CLASH react to the period's load.
 
-        Returns ``(splits, merges, redirected_sources, migrated_queries)``.
+        Returns ``(splits, merges, redirected_sources, iterations,
+        converged)``; ``converged`` is False when the loop hit
+        ``max_balance_iterations`` while still splitting or merging.
         """
         if self._fixed_depth is not None:
             self._sync_assignments(measure)
-            return 0, 0, 0.0, 0.0
+            return 0, 0, 0.0, 0, True
         splits = 0
         merges = 0
         redirected = 0.0
-        migrated_queries = 0.0
-        for _iteration in range(self._params.max_balance_iterations):
+        iterations = 0
+        converged = False
+        for iterations in range(1, self._params.max_balance_iterations + 1):
             self._sync_assignments(measure)
             report = self._system.run_load_check(
                 max_splits_per_server=self._params.max_splits_per_server_per_iteration
@@ -931,6 +926,7 @@ class FlowSimulator:
             # quiescent, a legal point for the fuzz oracle.
             self._check_invariant_oracle()
             if report.split_count == 0 and report.merge_count == 0:
+                converged = True
                 break
             splits += report.split_count
             merges += report.merge_count
@@ -940,18 +936,16 @@ class FlowSimulator:
                 probability = measure.group_probability(outcome.right)
                 redirected += self._params.source_count * probability
                 moved = measure.group_queries(outcome.right)
-                migrated_queries += moved
                 self._system.messages.add(MessageCategory.STATE_TRANSFER, moved)
             for outcome in report.merges:
                 _left, right = outcome.parent_group.split()
                 probability = measure.group_probability(right)
                 redirected += self._params.source_count * probability
                 moved = measure.group_queries(right)
-                migrated_queries += moved
                 self._system.messages.add(MessageCategory.STATE_TRANSFER, moved)
         # Leave the final, post-reaction load assignment in place for metrics.
         self._sync_assignments(measure)
-        return splits, merges, redirected, migrated_queries
+        return splits, merges, redirected, iterations, converged
 
     # ------------------------------------------------------------------ #
     # Client traffic accounting
@@ -1028,13 +1022,25 @@ class FlowSimulator:
             # events landing mid-exchange are deferred until it completes.
             self._churn_safe = False
             try:
-                splits, merges, redirected, _migrated = self._balance(measure)
+                splits, merges, redirected, iterations, converged = self._balance(
+                    measure
+                )
                 self._total_splits += splits
                 self._total_merges += merges
                 self._charge_lookups(spec, period_end - time, redirected)
             finally:
                 self._churn_safe = True
             self._drain_deferred_churn()
+            if not converged:
+                self._balance_cap_hits += 1
+                warnings.warn(
+                    f"{self.label}: the balance loop of the period ending at "
+                    f"t={period_end:g}s hit max_balance_iterations="
+                    f"{self._params.max_balance_iterations} while still "
+                    "splitting or merging",
+                    RuntimeWarning,
+                    stacklevel=3,
+                )
             if self._engine is not None:
                 # Message exchanges advanced the event clock within the
                 # period; aligning the kernel with the period boundary here
@@ -1086,6 +1092,8 @@ class FlowSimulator:
                 cross_shard_imbalance=shard_imbalance,
                 groups_migrated=self._period_migrated,
                 partition_version=self._system.partition_version,
+                balance_iterations=iterations,
+                balance_converged=converged,
             )
             self._period_joins = 0
             self._period_failures = 0
@@ -1118,6 +1126,7 @@ class FlowSimulator:
                 for key, value in {
                     **self._system.dht_stats(),
                     **self._system.work_stats(),
+                    "balance_cap_hits": self._balance_cap_hits,
                 }.items()
             },
         )

@@ -132,14 +132,18 @@ class TestSplitting:
         server.store_query(Query(query_id=1, key=left_key))
         server.store_query(Query(query_id=2, key=right_key))
         server.set_group_rate(group("01*"), 60.0)
-        left, right, migrated = server.perform_split(group("01*"), right_child_server="s9")
+        left, right, migrated, right_rate = server.perform_split(
+            group("01*"), right_child_server="s9"
+        )
         assert left == group("010*")
         assert right == group("011*")
         assert [query.query_id for query in migrated] == [2]
         assert len(server.query_store) == 1
         assert server.splits_performed == 1
-        # Half of the measured rate is attributed to the retained left child.
+        # Half of the measured rate is attributed to the retained left child,
+        # and the same half travels to the right child as its estimate.
         assert server.group_loads()[left].data_rate == pytest.approx(30.0)
+        assert right_rate == pytest.approx(30.0)
         server.table.check_invariants()
 
     def test_perform_local_split_keeps_both_children(self, server: ClashServer):
@@ -162,6 +166,17 @@ class TestSplitting:
         assert group("011*") in receiver.table
         assert receiver.table.entry(group("011*")).parent_id == "s0"
         assert len(receiver.query_store) == 1
+        # A handoff without an estimate records no rate.
+        assert receiver.group_loads()[group("011*")].data_rate == 0.0
+
+    def test_split_transfer_carries_the_rate_estimate(self):
+        receiver = ClashServer(name="s9", config=CONFIG)
+        receiver.accept_keygroup(
+            AcceptKeyGroup(group=group("011*"), parent_server="s0", estimated_rate=30.0)
+        )
+        assert receiver.group_loads()[group("011*")].data_rate == pytest.approx(30.0)
+        [report] = receiver.build_load_reports()
+        assert report.load == receiver.total_load() > 0.0
 
 
 class TestConsolidation:
@@ -169,7 +184,9 @@ class TestConsolidation:
         parent = ClashServer(name="s0", config=CONFIG)
         parent.assign_root_group(group("01*"))
         child = ClashServer(name="s9", config=CONFIG)
-        _left, right, migrated = parent.perform_split(group("01*"), right_child_server="s9")
+        _left, right, migrated, _rate = parent.perform_split(
+            group("01*"), right_child_server="s9"
+        )
         child.accept_keygroup(
             AcceptKeyGroup(group=right, parent_server="s0", migrated_queries=len(migrated)),
             queries=migrated,

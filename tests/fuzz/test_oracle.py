@@ -1,4 +1,4 @@
-"""Oracle behaviour: the invariant oracle, metric sanity, tie-witness."""
+"""Oracle behaviour: the invariant oracle, liveness, metric sanity, tie-witness."""
 
 from __future__ import annotations
 
@@ -46,6 +46,76 @@ def small_system() -> ClashSystem:
         ClashConfig.small_scale(), server_count=4, rng=RandomStream(7)
     )
     return system
+
+
+def _split_and_merge_back(system: ClashSystem, oracle: InvariantOracle) -> None:
+    """Split one group off a hot server, then consolidate it straight back,
+    showing the oracle the system after each step."""
+    capacity = system.config.server_capacity
+    for group, owner in sorted(system.active_groups().items()):
+        system.server(owner).set_group_rate(group, 2.0 * capacity)
+        outcome = system.split_server(owner)
+        if outcome is not None and outcome.shed:
+            break
+    else:
+        raise AssertionError("no split shed a child to another server")
+    oracle.check_system(system)
+    system.server(outcome.parent_server).set_group_rate(outcome.left, 0.0)
+    system.server(outcome.child_server).set_group_rate(outcome.right, 0.0)
+    system.exchange_load_reports()
+    merges = system.consolidate_server(outcome.parent_server)
+    assert [merge.parent_group for merge in merges] == [outcome.group]
+    oracle.check_system(system)
+
+
+class TestLivenessChecks:
+    def test_unconverged_steady_period_is_a_violation(self, small_system):
+        oracle = InvariantOracle()
+        oracle.check_sample(small_system, _healthy_sample())
+        with pytest.raises(OracleViolation) as info:
+            oracle.check_sample(
+                small_system,
+                _healthy_sample(time=600.0, balance_iterations=30, balance_converged=False),
+            )
+        assert info.value.check == "liveness:converged"
+
+    @pytest.mark.parametrize(
+        "previous", [{"workload": "B"}, {"partition_version": 1}], ids=["new-workload", "new-map"]
+    )
+    def test_unconverged_period_after_a_change_is_reported_not_flagged(
+        self, small_system, previous
+    ):
+        oracle = InvariantOracle()
+        oracle.check_sample(small_system, _healthy_sample(**previous))
+        oracle.check_sample(
+            small_system,
+            _healthy_sample(time=600.0, balance_iterations=30, balance_converged=False),
+        )
+
+    def test_saturated_shard_waives_convergence(self, small_system):
+        oracle = InvariantOracle()
+        oracle.check_sample(small_system, _healthy_sample())
+        underload = small_system.config.underload_load
+        for group, owner in small_system.active_groups().items():
+            small_system.server(owner).set_group_rate(group, 2.0 * underload)
+        oracle.check_sample(
+            small_system,
+            _healthy_sample(time=600.0, balance_iterations=30, balance_converged=False),
+        )
+
+    def test_split_and_merge_back_in_a_steady_period_is_thrash(self, small_system):
+        oracle = InvariantOracle()
+        oracle.check_sample(small_system, _healthy_sample())
+        _split_and_merge_back(small_system, oracle)
+        with pytest.raises(OracleViolation) as info:
+            oracle.check_sample(small_system, _healthy_sample(time=600.0))
+        assert info.value.check == "liveness:no-thrash"
+
+    def test_split_and_merge_back_across_a_phase_change_is_not_thrash(self, small_system):
+        oracle = InvariantOracle()
+        oracle.check_sample(small_system, _healthy_sample(workload="B"))
+        _split_and_merge_back(small_system, oracle)
+        oracle.check_sample(small_system, _healthy_sample(time=600.0))
 
 
 class TestInvariantOracle:

@@ -220,12 +220,15 @@ class TestShardedSystemMechanics:
                 small_config, server_count=2, rng=RandomStream(1), shards=4
             )
 
-    def test_endpoints_are_namespaced_per_shard(self, sharded_system):
-        transport = sharded_system.transport
+    def test_every_server_is_bound_and_placed_on_one_shard(self, sharded_system):
         router = sharded_system.router
+        names = sharded_system.server_names()
+        assert sorted(sharded_system.transport.endpoints()) == sorted(names)
         for shard in range(4):
-            names = transport.endpoints(shard=shard)
-            assert sorted(names) == sorted(router.servers_in_shard(shard))
-            for name in names:
-                assert transport.endpoint_shard(name) == shard
-        assert sorted(transport.endpoints()) == sorted(sharded_system.server_names())
+            members = router.servers_in_shard(shard)
+            assert members, f"shard {shard} has no servers"
+            for name in members:
+                assert router.server_shard(name) == shard
+        assert sorted(
+            name for shard in range(4) for name in router.servers_in_shard(shard)
+        ) == sorted(names)

@@ -242,26 +242,17 @@ class TestBuildTransport:
                 built.close()
 
     def test_registry_flags_are_exact(self):
-        """Every registered spec's flags, pinned exactly, plus the report-diff
-        capability build_transport derives from them (clock-less only):
-        (needs_engine, models_time, churn_equivalence, supports_report_diff).
+        """Every registered spec's flags, pinned exactly:
+        (needs_engine, models_time, churn_equivalence).
         """
-        flags = {}
-        for kind, spec in TRANSPORTS.items():
-            built = build_transport(kind)
-            try:
-                flags[kind] = (
-                    spec.needs_engine,
-                    spec.models_time,
-                    spec.churn_equivalence,
-                    built.supports_report_diff,
-                )
-            finally:
-                built.close()
+        flags = {
+            kind: (spec.needs_engine, spec.models_time, spec.churn_equivalence)
+            for kind, spec in TRANSPORTS.items()
+        }
         assert flags == {
-            "inline": (False, False, True, True),
-            "event": (True, True, False, False),
-            "async": (False, True, True, False),
+            "inline": (False, False, True),
+            "event": (True, True, False),
+            "async": (False, True, True),
         }
 
     def test_unknown_kind_rejected(self):

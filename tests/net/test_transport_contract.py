@@ -132,31 +132,6 @@ class TestEndpoints:
         with pytest.raises(ValueError):
             transport.bind("", _Recorder())
 
-    def test_shard_namespace_partitions_the_endpoints(self, transport):
-        transport.bind("s0", _Recorder(), shard=0)
-        transport.bind("s1", _Recorder(), shard=1)
-        transport.bind("s2", _Recorder(), shard=0)
-        transport.bind("loose", _Recorder())
-        assert transport.endpoints(shard=0) == ["s0", "s2"]
-        assert transport.endpoints(shard=1) == ["s1"]
-        assert transport.endpoints(shard=2) == []
-        assert transport.endpoints() == ["s0", "s1", "s2", "loose"]
-        assert transport.endpoint_shard("s1") == 1
-        assert transport.endpoint_shard("loose") is None
-
-    def test_rebinding_without_a_shard_clears_the_tag(self, transport):
-        transport.bind("srv", _Recorder(), shard=3)
-        transport.bind("srv", _Recorder())
-        assert transport.endpoint_shard("srv") is None
-        assert transport.endpoints(shard=3) == []
-
-    def test_unbind_clears_the_shard_tag(self, transport):
-        transport.bind("srv", _Recorder(), shard=2)
-        transport.unbind("srv")
-        assert transport.endpoint_shard("srv") is None
-        transport.bind("srv", _Recorder())
-        assert transport.endpoints(shard=2) == []
-
 
 class TestRequest:
     def test_round_trip_returns_the_reply(self, transport):

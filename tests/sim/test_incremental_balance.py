@@ -1,20 +1,19 @@
-"""The incremental balance pass must equal the reference full scan, bit for bit.
+"""The balance pass: one path, a verdict cache held to a test-side oracle.
 
-``ClashSystem.run_load_check`` drains dirty-server work queues (split pass,
-report exchange, consolidation pass) instead of scanning every server, and on
-clock-less transports the exchange skips re-posting report sets that already
-stand on their parents.  ``force_full_load_scan`` restores the reference
-probe-everyone scan with a full exchange.  These tests pin the contract:
+``ClashSystem.run_load_check`` visits every server in both passes (split,
+then report exchange, then consolidation) but re-probes a server's
+overload/underload verdicts only when one of its load inputs changed since
+the last probe.  These tests pin the contract:
 
-* **End-to-end equivalence** — full simulations in both modes emit
-  bit-identical ``PeriodSample`` streams across transports, churn, shard
-  counts and partition modes.
-* **Randomized mutation battery** — twin systems fed identical random rate
-  mutations and membership events produce identical splits, merges, message
-  charges and ownership after every load check.
+* **Verdict-cache oracle** — in a randomized mutation run (rate and query
+  overrides, joins, failures), every verdict the cache would serve equals a
+  fresh ``(is_overloaded(), is_underloaded())`` probe after every load check.
+* **Fresh splits are not merge candidates** — a pair split off an overloaded
+  server carries the parent's half-rate estimate on both children, so the
+  parent does not merge it back before anyone has measured it (the
+  split/merge livelock).
 * **Steady-state sparsity** — once converged, a load check performs zero
-  verdict probes, zero consolidation candidate sweeps and delivers zero
-  envelopes (standing reports are reused, counted in ``reports_skipped``).
+  verdict probes and delivers exactly the standing load reports.
 * **Drop accounting** — a report whose destination unbinds while the
   envelope is in flight is counted once, in ``dropped_messages``, and is
   neither charged as a MERGE message nor counted as delivered.
@@ -22,135 +21,151 @@ probe-everyone scan with a full exchange.  These tests pin the contract:
 
 from __future__ import annotations
 
-import dataclasses
 import random
 
-import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import ClashConfig
 from repro.core.messages import MessageCategory
 from repro.core.protocol import ClashSystem
-from repro.experiments.runner import ExperimentScale
 from repro.net import build_transport
 from repro.net.event import EventTransport
 from repro.net.latency import ConstantLatency
 from repro.sim.engine import SimulationEngine
-from repro.sim.simulator import FlowSimulator
 from repro.util.rng import RandomStream
 
 
-def _run(scale: ExperimentScale, scenario, full_scan: bool):
-    simulator = FlowSimulator(
-        config=scale.config(),
-        params=scale.params(force_full_load_scan=full_scan),
-        scenario=scenario,
-    )
-    try:
-        result = simulator.run()
-        simulator.system.verify_invariants()
-    finally:
-        simulator.transport.close()
-    return result
-
-
-# One combination per axis value: the inline and async transports,
-# calm and churning phases, single and 4-shard rings, static and adaptive
-# partition maps — without paying for the full cross product on every CI run.
-BATTERY = [
-    pytest.param("inline", 0.0, 1, "static", id="inline-calm-1-static"),
-    pytest.param("inline", 0.01, 4, "adaptive", id="inline-churn-4-adaptive"),
-    pytest.param("async", 0.0, 4, "static", id="async-calm-4-static"),
-    pytest.param("async", 0.01, 1, "static", id="async-churn-1-static"),
-]
-
-
-class TestWorkQueueEqualsFullScan:
-    @pytest.mark.parametrize("transport, churn_rate, shards, partition", BATTERY)
-    def test_period_streams_bit_identical(self, transport, churn_rate, shards, partition):
-        scale = dataclasses.replace(
-            ExperimentScale.scaled(factor=100, phase_periods=2),
-            transport=transport,
-            join_rate=churn_rate,
-            fail_rate=churn_rate,
-            shards=shards,
-            partition=partition,
-        )
-        scenario = scale.scenario()
-        incremental = _run(scale, scenario, full_scan=False)
-        full = _run(scale, scenario, full_scan=True)
-        differences = incremental.diff(full)
-        assert not differences, "; ".join(differences)
-        # The equivalence must not be vacuous: the incremental run has to
-        # have actually probed fewer servers than the reference scan.
-        assert incremental.notes["load_check_probes"] < full.notes["load_check_probes"]
-        assert (
-            incremental.notes["consolidation_probes"]
-            <= full.notes["consolidation_probes"]
-        )
-
-
-def _twin_system(full_scan: bool) -> ClashSystem:
-    # build_transport stamps the registry's report_diff capability, so the
-    # incremental twin also exercises the report-diff exchange.
-    system = ClashSystem.create(
-        ClashConfig.small_scale(),
+def _system(seed: int = 99, initial_depth: int = 2) -> ClashSystem:
+    return ClashSystem.create(
+        ClashConfig.small_scale().with_overrides(initial_depth=initial_depth),
         server_count=16,
-        rng=RandomStream(99),
+        rng=RandomStream(seed),
         transport=build_transport("inline"),
     )
-    system.force_full_load_scan = full_scan
-    return system
 
 
-class TestRandomizedMutationBattery:
-    def test_twin_systems_stay_identical_under_random_mutations(self):
-        incremental = _twin_system(full_scan=False)
-        reference = _twin_system(full_scan=True)
+def _assert_cached_verdicts_exact(system: ClashSystem) -> int:
+    """Every verdict the cache would serve equals a fresh probe.
+
+    A server whose load inputs changed since its last probe is in the dirty
+    set and gets re-probed on its next read, so only clean cache entries are
+    served as-is.  Returns how many such entries were checked.
+    """
+    checked = 0
+    for name, server in system.servers().items():
+        if name in system._dirty_load_servers or name not in system._load_flags:
+            continue
+        fresh = (server.is_overloaded(), server.is_underloaded())
+        assert system._load_flags[name] == fresh, (
+            f"{name}: cached verdicts {system._load_flags[name]} but a fresh "
+            f"probe says {fresh}"
+        )
+        checked += 1
+    return checked
+
+
+class TestVerdictCacheOracle:
+    def test_cached_verdicts_match_fresh_probes_under_random_mutations(self):
+        system = _system()
         rng = random.Random(20040324)
-        capacity = incremental.config.server_capacity
+        capacity = system.config.server_capacity
         joins = 0
-        for round_index in range(40):
-            groups = sorted(incremental.active_groups().items())
-            assert groups == sorted(reference.active_groups().items())
-            # A handful of random rate mutations, applied to both twins.
+        checked = 0
+        splits = merges = 0
+        for _round in range(60):
+            groups = sorted(system.active_groups().items())
             for _ in range(rng.randrange(0, 4)):
                 group, owner = groups[rng.randrange(len(groups))]
-                rate = rng.uniform(0.0, 2.0 * capacity)
-                incremental.server(owner).set_group_rate(group, rate)
-                reference.server(owner).set_group_rate(group, rate)
-            # Occasional membership churn so the work queues see joins and
-            # failures mid-battery, not just rate dirt.
+                server = system.server(owner)
+                if rng.random() < 0.7:
+                    server.set_group_rate(group, rng.uniform(0.0, 2.0 * capacity))
+                else:
+                    server.set_group_query_count(group, rng.uniform(0.0, 50.0))
+            if rng.random() < 0.3:
+                # Cool one server's groups off so cold sibling pairs appear.
+                _group, owner = groups[rng.randrange(len(groups))]
+                server = system.server(owner)
+                for group in server.active_groups():
+                    server.set_group_rate(group, rng.uniform(0.0, 0.05 * capacity))
             if rng.random() < 0.15:
                 joins += 1
-                incremental.handle_server_join(f"fz{joins}")
-                reference.handle_server_join(f"fz{joins}")
+                system.handle_server_join(f"fz{joins}")
             elif rng.random() < 0.10:
-                names = sorted(incremental.server_names())
-                victim = names[rng.randrange(len(names))]
-                incremental.handle_server_failure(victim)
-                reference.handle_server_failure(victim)
-            a = incremental.run_load_check()
-            b = reference.run_load_check()
-            assert a.splits == b.splits, f"round {round_index}: split streams diverged"
-            assert a.merges == b.merges, f"round {round_index}: merge streams diverged"
-            assert incremental.messages == reference.messages, (
-                f"round {round_index}: message accounting diverged"
-            )
-            assert incremental.active_groups() == reference.active_groups()
-            incremental.verify_invariants()
-        # The battery must have exercised real work on both paths.
-        assert incremental.load_probes > 0
-        assert incremental.load_probes < reference.load_probes
+                names = sorted(system.server_names())
+                system.handle_server_failure(names[rng.randrange(len(names))])
+            _assert_cached_verdicts_exact(system)
+            report = system.run_load_check()
+            splits += report.split_count
+            merges += report.merge_count
+            checked += _assert_cached_verdicts_exact(system)
+            system.verify_invariants()
+        # The run must have exercised real work and real cache hits.
+        assert splits > 0 and merges > 0
+        assert checked > 0
+        assert system.load_probes > 0
+
+
+def _hot_server(system: ClashSystem) -> str:
+    """The server holding the most active groups (ties: the first name)."""
+    counts: dict[str, int] = {}
+    for owner in system.active_groups().values():
+        counts[owner] = counts.get(owner, 0) + 1
+    return min(counts, key=lambda name: (-counts[name], name))
+
+
+class TestFreshSplitIsNotMergeable:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=40),
+        hot=st.floats(min_value=0.05, max_value=2.0),
+        others=st.lists(st.floats(min_value=0.0, max_value=1.0), max_size=6),
+    )
+    def test_split_pair_is_not_a_candidate_before_it_is_measured(self, seed, hot, others):
+        """Split, exchange reports, and the pair must not be mergeable yet."""
+        system = _system(seed=seed, initial_depth=4)
+        capacity = system.config.server_capacity
+        name = _hot_server(system)
+        server = system.server(name)
+        groups = sorted(server.active_groups())
+        server.set_group_rate(groups[0], hot * capacity)
+        for group, fraction in zip(groups[1:], others):
+            server.set_group_rate(group, fraction * capacity)
+        assume(server.is_overloaded())
+        outcome = system.split_server(name)
+        assume(outcome is not None and outcome.shed)
+        # The shed child reports the parent's estimate, not an unmeasured 0.0.
+        child = system.server(outcome.child_server)
+        assert child.group_loads()[outcome.right].data_rate == (
+            server.group_loads()[outcome.left].data_rate
+        )
+        system.exchange_load_reports()
+        assert outcome.group not in server.consolidation_candidates()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=40),
+        rates=st.lists(st.floats(min_value=0.0, max_value=2.0), min_size=16, max_size=16),
+    )
+    def test_a_load_check_never_merges_back_what_it_split(self, seed, rates):
+        system = _system(seed=seed, initial_depth=4)
+        capacity = system.config.server_capacity
+        for (group, owner), fraction in zip(sorted(system.active_groups().items()), rates):
+            system.server(owner).set_group_rate(group, fraction * capacity)
+        report = system.run_load_check(max_splits_per_server=1)
+        split = {outcome.group for outcome in report.splits if outcome.shed}
+        merged = {outcome.parent_group for outcome in report.merges}
+        assert not split & merged
 
 
 class TestSteadyState:
-    def test_converged_check_probes_and_delivers_nothing(self):
-        system = _twin_system(full_scan=False)
+    def test_converged_check_probes_nothing_and_posts_only_standing_reports(self):
+        system = _system()
         groups = sorted(system.active_groups().items())
         group, owner = groups[0]
         # 1.5× capacity forces one split; the halves settle between the
         # underload and overload thresholds, so the pair is stable and the
-        # child keeps a standing report on its parent.
+        # child reports to its parent every check.
         system.server(owner).set_group_rate(group, 1.5 * system.config.server_capacity)
         converged = False
         for _ in range(10):
@@ -159,23 +174,17 @@ class TestSteadyState:
                 converged = True
                 break
         assert converged, "the single-split workload never settled"
-        # Drain any residual dirt from the settling passes.
-        system.run_load_check()
         probes = system.load_probes
-        sweeps = system.consolidation_probes
+        standing = sum(
+            len(server.addressed_load_reports()) for server in system.servers().values()
+        )
+        assert standing > 0, "the split should have left a cross-server child"
         delivered_before = system.transport.envelopes_delivered
-        skipped_before = system.reports_skipped
         report = system.run_load_check()
         assert report.split_count == 0 and report.merge_count == 0
         assert system.load_probes == probes, "steady state re-probed a verdict"
-        assert system.consolidation_probes == sweeps, (
-            "steady state re-swept consolidation candidates"
-        )
-        assert system.transport.envelopes_delivered == delivered_before, (
-            "steady state delivered report envelopes whose content already stood"
-        )
-        assert system.reports_skipped > skipped_before, (
-            "the standing reports should have been reused, not absent"
+        assert system.transport.envelopes_delivered - delivered_before == standing, (
+            "a steady-state check must deliver exactly the standing load reports"
         )
 
 

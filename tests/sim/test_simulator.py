@@ -173,3 +173,26 @@ class TestFixedDepthRuns:
             FlowSimulator(tiny_config(), tiny_params(), short_scenario(1), fixed_depth=0)
         with pytest.raises(ValueError):
             FlowSimulator(tiny_config(), tiny_params(), short_scenario(1), fixed_depth=25)
+
+
+class TestBalanceLiveness:
+    def test_periods_record_their_balance_iterations(self):
+        result = FlowSimulator(tiny_config(), tiny_params(), short_scenario()).run()
+        samples = result.metrics.samples
+        assert all(sample.balance_iterations >= 1 for sample in samples)
+        # A steady period re-checks a converged configuration once.
+        assert samples[1].balance_iterations == 1
+        assert all(sample.balance_converged for sample in samples)
+        assert result.notes["balance_cap_hits"] == 0
+
+    def test_hitting_the_cap_is_counted_and_warned(self):
+        simulator = FlowSimulator(
+            tiny_config(), tiny_params(max_balance_iterations=1), short_scenario()
+        )
+        with pytest.warns(RuntimeWarning, match="max_balance_iterations=1") as caught:
+            result = simulator.run()
+        unconverged = [s for s in result.metrics.samples if not s.balance_converged]
+        assert unconverged, "one iteration should not absorb a phase change"
+        assert all(sample.balance_iterations == 1 for sample in unconverged)
+        assert result.notes["balance_cap_hits"] == len(unconverged)
+        assert len(caught) == len(unconverged)
