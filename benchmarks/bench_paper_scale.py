@@ -14,9 +14,8 @@ The recorded metrics include the routing-tier work counters
 (``ring_finger_recomputations``, memo hit/invalidation counts), so the
 incremental-stabilisation win is itself drift-gated: a change that silently
 reverts rings to full rebuilds shows up as a metric failure, not merely a
-slow run.  They also include each period's balance iterations and the
-number of periods whose balance loop hit ``max_balance_iterations``;
-``--check`` additionally requires that every period converged and that the
+slow run.  They also include the number of periods whose balance loop hit
+``max_balance_iterations``; ``--check`` additionally requires that every period converged and that the
 churn run stays under ``LOAD_CHECK_PROBE_CEILING`` verdict probes.
 
 Usage (from the repo root, also exposed as ``make bench-paper``)::
@@ -85,7 +84,6 @@ def _metrics(result: SimulationResult) -> dict[str, object]:
         "server_joins": sum(sample.server_joins for sample in samples),
         "server_failures": sum(sample.server_failures for sample in samples),
         "groups_reassigned": sum(sample.groups_reassigned for sample in samples),
-        "balance_iteration_series": [sample.balance_iterations for sample in samples],
         "split_series": [sample.splits for sample in samples],
         "merge_series": [sample.merges for sample in samples],
         "max_load_series": [_round(sample.max_load_percent) for sample in samples],

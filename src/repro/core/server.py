@@ -500,7 +500,9 @@ class ClashServer:
         load is below the underload threshold *and* absorbing the right child
         would not push this server over the overload threshold — without the
         second condition a split performed to relieve overload would be undone
-        at the next check, producing a split/merge oscillation.
+        at the next check, producing a split/merge oscillation.  The second
+        condition counts the right children of the candidates already
+        admitted, because the consolidation merges every candidate at once.
         """
         candidates: list[KeyGroup] = []
         local_loads = self._current_loads()
@@ -526,6 +528,7 @@ class ClashServer:
             added_load = 0.0 if right_is_local else right_load
             if self._load_model.is_overloaded(total_load + added_load):
                 continue
+            total_load += added_load
             candidates.append(parent_group)
         return sorted(candidates, key=lambda group: -group.depth)
 

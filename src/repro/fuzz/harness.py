@@ -210,7 +210,9 @@ def run_case(
         if oracle is not None:
             oracle.bind(simulator)
             simulator.set_oracles(
-                invariant=oracle.check_system, sample=oracle.check_sample
+                invariant=oracle.check_system,
+                sample=oracle.check_sample,
+                load_check=oracle.check_load_check,
             )
         violation: OracleViolation | None = None
         result: SimulationResult | None = None

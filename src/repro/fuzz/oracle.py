@@ -1,10 +1,11 @@
 """Invariant oracles the schedule fuzzer runs at every quiescent point.
 
-An oracle is a pair of callbacks the harness installs on a
+An oracle is a set of callbacks the harness installs on a
 :class:`~repro.sim.simulator.FlowSimulator` (via ``set_oracles``):
 ``check_system`` fires after membership events, after each balance
-iteration's load check and at period boundaries; ``check_sample``
-additionally sees each freshly built
+iteration's load check and at period boundaries; ``check_load_check``
+additionally sees each load check's report of splits and merges;
+``check_sample`` additionally sees each freshly built
 :class:`~repro.sim.metrics.PeriodSample`.  A violated property raises
 :class:`OracleViolation`, which carries a stable ``check`` name — the
 shrinker's predicate compares check names, not messages, so a minimised
@@ -71,6 +72,10 @@ class FuzzOracle:
     def check_system(self, system) -> None:
         """Verify system-state properties at a quiescent point."""
 
+    def check_load_check(self, system, report) -> None:
+        """See one balance iteration's load-check report (its splits and
+        merges); called right after that iteration's ``check_system``."""
+
     def check_sample(self, system, sample: PeriodSample) -> None:
         """Verify a period's freshly built metrics sample."""
 
@@ -79,32 +84,38 @@ class InvariantOracle(FuzzOracle):
     """The production oracle: protocol invariants, liveness, metric sanity.
 
     ``check_system`` wraps
-    :meth:`~repro.core.protocol.ClashSystem.verify_invariants` and tracks
-    which key groups the period split and merged (only splits and merges
-    change the set of active groups; churn and rebalances move owners).
-    ``check_sample`` re-runs it and then checks the liveness of every
-    *steady* period, one that kept the previous period's workload and
-    partition map: ``liveness:no-thrash`` (no group both split and merged
-    back) and ``liveness:converged`` (the balance loop ended before
-    ``max_balance_iterations``).  The convergence check is waived while
-    some shard is saturated, i.e. its mean server load is above the
-    underload threshold: a split sheds half a group onto a hash-chosen peer
-    of the same shard, which then is itself likely near overload, so
-    splitting goes on without cooling the shard (the static partition puts
-    a skewed workload's whole hot region on one shard).  A phase-entry or
-    re-partitioned period may legitimately need more iterations than the
-    cap to absorb the change; the simulator still reports every cap hit
-    (sample flag, ``balance_cap_hits`` note, warning).  Last come the
-    period metrics (loads, depths, rates, latency and shard fields must be
-    finite, ordered and non-negative).
+    :meth:`~repro.core.protocol.ClashSystem.verify_invariants`.
+    ``check_load_check`` records which key groups the period split (shed
+    splits only: a split that collapsed back onto its server moved nothing)
+    and which of those it then merged back.  It reads them from each load
+    check's report, not from the active-group set, which a split and
+    merge-back inside one check leaves unchanged (a check's splits all
+    precede its merges).  ``check_sample`` re-runs the invariants and then
+    checks the liveness of every *steady* period, one that kept the
+    previous period's workload and partition map: ``liveness:no-thrash``
+    (no group split and then merged back) and ``liveness:converged`` (the
+    balance loop ended before ``max_balance_iterations``).
+
+    The convergence check is waived while some shard is saturated, i.e. its
+    mean server load is above half the overload threshold: a server
+    overloaded by one hot group sheds half of it, more than half the
+    threshold, onto a hash-chosen peer of the same shard, and a peer
+    carrying that shard's mean load then is overloaded in turn, so
+    splitting cascades instead of cooling the shard (the static partition
+    puts a skewed workload's whole hot region on one shard; docs/FUZZING.md
+    has the measured loads).  A phase-entry or re-partitioned period may
+    legitimately need more iterations than the cap to absorb the change;
+    the simulator still reports every cap hit (sample flag,
+    ``balance_cap_hits`` note, warning).  Last come the period metrics
+    (loads, depths, rates, latency and shard fields must be finite, ordered
+    and non-negative).
     """
 
     name = "invariants"
 
     def __init__(self) -> None:
-        self._active: set | None = None
         self._split: set = set()
-        self._merged: set = set()
+        self._merged_back: set = set()
         self._last_period: tuple[str, int] | None = None
 
     def check_system(self, system) -> None:
@@ -114,37 +125,33 @@ class InvariantOracle(FuzzOracle):
             raise
         except AssertionError as error:
             raise OracleViolation("invariants", str(error)) from error
-        active = set(system.active_groups())
-        if self._active is not None:
-            self._split |= {
-                group for group in self._active - active
-                if any(child in active for child in group.split())
-            }
-            self._merged |= {
-                group for group in active - self._active
-                if any(child in self._active for child in group.split())
-            }
-        self._active = active
+
+    def check_load_check(self, system, report) -> None:
+        self._split.update(outcome.group for outcome in report.splits if outcome.shed)
+        self._merged_back.update(
+            outcome.parent_group for outcome in report.merges
+            if outcome.parent_group in self._split
+        )
 
     def check_sample(self, system, sample: PeriodSample) -> None:
         self.check_system(system)
         period = (sample.workload, sample.partition_version)
         steady = period == self._last_period
-        thrashed = sorted(self._split & self._merged) if steady else []
+        thrashed = sorted(self._merged_back) if steady else []
         self._last_period = period
-        self._split, self._merged = set(), set()
+        self._split, self._merged_back = set(), set()
+        if thrashed:
+            raise OracleViolation(
+                "liveness:no-thrash",
+                f"{len(thrashed)} group(s) split and merged back within the "
+                f"steady period ending at t={sample.time}, first {thrashed[0]}",
+            )
         if steady and not sample.balance_converged and not self._saturated(system):
             raise OracleViolation(
                 "liveness:converged",
                 f"the balance loop hit its cap after {sample.balance_iterations} "
                 f"iterations with splits={sample.splits} merges={sample.merges} "
                 f"at t={sample.time}",
-            )
-        if thrashed:
-            raise OracleViolation(
-                "liveness:no-thrash",
-                f"{len(thrashed)} group(s) split and merged back within the "
-                f"steady period ending at t={sample.time}, first {thrashed[0]}",
             )
         for check, passed, detail in self._sample_checks(sample):
             if not passed:
@@ -153,8 +160,8 @@ class InvariantOracle(FuzzOracle):
 
     @staticmethod
     def _saturated(system) -> bool:
-        """True when some shard's mean server load is above the underload
-        threshold."""
+        """True when some shard's mean server load is above half the
+        overload threshold."""
         router = system.router
         totals = [0.0] * router.shard_count
         counts = [0] * router.shard_count
@@ -162,7 +169,7 @@ class InvariantOracle(FuzzOracle):
             shard = router.server_shard(name)
             totals[shard] += server.total_load()
             counts[shard] += 1
-        limit = system.config.underload_load
+        limit = system.config.overload_load / 2.0
         return any(total > limit * count for total, count in zip(totals, counts))
 
     @staticmethod

@@ -417,6 +417,7 @@ class FlowSimulator:
         # point — after membership events, after each balance iteration, and
         # at period boundaries.  None means no oracle is installed.
         self._invariant_oracle = None
+        self._load_check_oracle = None
         self._sample_oracle = None
         self._phase_index: int | None = None
         self._measures: dict[str, LoadMeasure] = {}
@@ -474,19 +475,25 @@ class FlowSimulator:
             return "CLASH"
         return f"DHT({self._fixed_depth})"
 
-    def set_oracles(self, invariant=None, sample=None) -> None:
+    def set_oracles(self, invariant=None, sample=None, load_check=None) -> None:
         """Install fuzz-oracle callbacks fired at quiescent points.
 
         Args:
             invariant: ``callback(system)`` — called after every membership
                 event, after every balance iteration's load check, and at
                 each period boundary.  Raise to flag a violation.
+            load_check: ``callback(system, report)`` — called after every
+                balance iteration's load check (after ``invariant``) with the
+                check's report, which lists every split and merge it made;
+                a split and merge-back inside one check leaves the set of
+                active groups unchanged, so only the report shows it.
             sample: ``callback(system, period_sample)`` — called once per
                 period with the freshly built
                 :class:`~repro.sim.metrics.PeriodSample` (metric sanity
                 checks live here).
         """
         self._invariant_oracle = invariant
+        self._load_check_oracle = load_check
         self._sample_oracle = sample
 
     def _check_invariant_oracle(self) -> None:
@@ -925,6 +932,8 @@ class FlowSimulator:
             # The load check has returned: the configuration is momentarily
             # quiescent, a legal point for the fuzz oracle.
             self._check_invariant_oracle()
+            if self._load_check_oracle is not None:
+                self._load_check_oracle(self._system, report)
             if report.split_count == 0 and report.merge_count == 0:
                 converged = True
                 break

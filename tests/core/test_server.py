@@ -226,6 +226,24 @@ class TestConsolidation:
         )
         assert parent.consolidation_candidates() == []
 
+    def test_consolidation_counts_every_admitted_merge(self):
+        """Each pair alone fits under the overload threshold, both do not:
+        merging both would overload the parent and force a re-split."""
+        parent, _child = self._split_setup()
+        parent.assign_root_group(group("10*"))
+        parent.perform_split(group("10*"), right_child_server="s8")
+        parent.assign_root_group(group("11*"))
+        parent.set_group_rate(group("010*"), 5.0)
+        parent.set_group_rate(group("100*"), 5.0)
+        parent.set_group_rate(group("11*"), 50.0)
+        parent.receive_load_report(
+            LoadReport(group=group("011*"), child_server="s9", load=20.0)
+        )
+        parent.receive_load_report(
+            LoadReport(group=group("101*"), child_server="s8", load=20.0)
+        )
+        assert len(parent.consolidation_candidates()) == 1
+
     def test_release_and_accept_back_round_trip(self):
         parent, child = self._split_setup()
         child.store_query(Query(query_id=77, key=key("01100001")))

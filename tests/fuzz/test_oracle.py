@@ -8,7 +8,10 @@ import math
 import pytest
 
 from repro.core.config import ClashConfig
-from repro.core.protocol import ClashSystem
+from repro.core.protocol import ClashSystem, MergeOutcome, SplitOutcome, _LoadCheckReport
+from repro.core.server import ClashServer
+from repro.fuzz import FuzzPlan, enumerate_cases
+from repro.fuzz.harness import run_case
 from repro.fuzz.oracle import (
     ORACLES,
     InvariantOracle,
@@ -16,6 +19,7 @@ from repro.fuzz.oracle import (
     TieWitnessOracle,
     build_oracle,
 )
+from repro.keys.keygroup import KeyGroup
 from repro.sim.metrics import PeriodSample
 from repro.util.rng import RandomStream
 
@@ -48,9 +52,36 @@ def small_system() -> ClashSystem:
     return system
 
 
+def _drop_split_estimate(monkeypatch) -> None:
+    """Reintroduce the split/merge livelock: a shed right child arrives
+    without the parent's rate estimate, so it reports load 0.0 until its
+    new owner measures it."""
+    accept = ClashServer.accept_keygroup
+
+    def unmeasured(server, message, queries=None):
+        accept(server, dataclasses.replace(message, estimated_rate=None), queries)
+
+    monkeypatch.setattr(ClashServer, "accept_keygroup", unmeasured)
+
+
+def _one_hot_group(system: ClashSystem) -> KeyGroup:
+    """Load one group of the busiest server to 95% of capacity and idle the
+    rest of its groups: one split then leaves the server under-loaded, so
+    the same load check runs its consolidation pass."""
+    owner = max(
+        system.server_names(), key=lambda name: len(system.server(name).active_groups())
+    )
+    server = system.server(owner)
+    groups = sorted(server.active_groups())
+    for group in groups:
+        server.set_group_rate(group, 0.0)
+    server.set_group_rate(groups[-1], 0.95 * system.config.server_capacity)
+    return groups[-1]
+
+
 def _split_and_merge_back(system: ClashSystem, oracle: InvariantOracle) -> None:
     """Split one group off a hot server, then consolidate it straight back,
-    showing the oracle the system after each step."""
+    showing the oracle the system and the step's report after each step."""
     capacity = system.config.server_capacity
     for group, owner in sorted(system.active_groups().items()):
         system.server(owner).set_group_rate(group, 2.0 * capacity)
@@ -60,12 +91,14 @@ def _split_and_merge_back(system: ClashSystem, oracle: InvariantOracle) -> None:
     else:
         raise AssertionError("no split shed a child to another server")
     oracle.check_system(system)
+    oracle.check_load_check(system, _LoadCheckReport(splits=[outcome]))
     system.server(outcome.parent_server).set_group_rate(outcome.left, 0.0)
     system.server(outcome.child_server).set_group_rate(outcome.right, 0.0)
     system.exchange_load_reports()
     merges = system.consolidate_server(outcome.parent_server)
     assert [merge.parent_group for merge in merges] == [outcome.group]
     oracle.check_system(system)
+    oracle.check_load_check(system, _LoadCheckReport(merges=merges))
 
 
 class TestLivenessChecks:
@@ -92,16 +125,29 @@ class TestLivenessChecks:
             _healthy_sample(time=600.0, balance_iterations=30, balance_converged=False),
         )
 
-    def test_saturated_shard_waives_convergence(self, small_system):
+    @pytest.mark.parametrize("mean_load", [0.55, 0.45], ids=["saturated", "cool"])
+    def test_saturation_waiver_starts_at_half_the_overload_threshold(
+        self, small_system, mean_load
+    ):
+        """``mean_load`` is the shard's mean server load as a fraction of the
+        overload threshold; the waiver applies above one half."""
         oracle = InvariantOracle()
         oracle.check_sample(small_system, _healthy_sample())
-        underload = small_system.config.underload_load
-        for group, owner in small_system.active_groups().items():
-            small_system.server(owner).set_group_rate(group, 2.0 * underload)
-        oracle.check_sample(
-            small_system,
-            _healthy_sample(time=600.0, balance_iterations=30, balance_converged=False),
+        groups = sorted(small_system.active_groups().items())
+        for group, owner in groups:
+            small_system.server(owner).set_group_rate(group, 0.0)
+        group, owner = groups[0]
+        total = mean_load * small_system.config.overload_load * len(small_system.server_names())
+        small_system.server(owner).set_group_rate(group, total)
+        unconverged = _healthy_sample(
+            time=600.0, balance_iterations=30, balance_converged=False
         )
+        if mean_load > 0.5:
+            oracle.check_sample(small_system, unconverged)
+            return
+        with pytest.raises(OracleViolation) as info:
+            oracle.check_sample(small_system, unconverged)
+        assert info.value.check == "liveness:converged"
 
     def test_split_and_merge_back_in_a_steady_period_is_thrash(self, small_system):
         oracle = InvariantOracle()
@@ -116,6 +162,74 @@ class TestLivenessChecks:
         oracle.check_sample(small_system, _healthy_sample(workload="B"))
         _split_and_merge_back(small_system, oracle)
         oracle.check_sample(small_system, _healthy_sample(time=600.0))
+
+    def test_merge_then_resplit_is_not_thrash(self, small_system):
+        """A merge undone by a later split is not a merge-back: load shed onto
+        the merging server later in the period may overload it again."""
+        oracle = InvariantOracle()
+        oracle.check_sample(small_system, _healthy_sample())
+        group, owner = sorted(small_system.active_groups().items())[0]
+        left, right = group.split()
+        merge = MergeOutcome(
+            parent_server=owner, parent_group=group, child_server="s0", returned_queries=0
+        )
+        split = SplitOutcome(
+            parent_server=owner,
+            group=group,
+            left=left,
+            right=right,
+            child_server="s0",
+            migrated_queries=0,
+            self_collisions=0,
+            shed=True,
+        )
+        oracle.check_load_check(small_system, _LoadCheckReport(merges=[merge]))
+        oracle.check_load_check(small_system, _LoadCheckReport(splits=[split]))
+        oracle.check_sample(small_system, _healthy_sample(time=600.0))
+
+    def test_split_and_merge_back_inside_one_load_check_is_thrash(
+        self, small_system, monkeypatch
+    ):
+        """The original livelock: the split pass sheds a child, the child
+        reports 0.0 and the same check's consolidation pass merges it back,
+        so the active groups are unchanged at every point the oracle sees."""
+        _drop_split_estimate(monkeypatch)
+        oracle = InvariantOracle()
+        oracle.check_sample(small_system, _healthy_sample())
+        hot = _one_hot_group(small_system)
+        before = set(small_system.active_groups())
+        report = small_system.run_load_check(max_splits_per_server=1)
+        assert hot in {outcome.group for outcome in report.splits if outcome.shed}
+        assert hot in {outcome.parent_group for outcome in report.merges}
+        assert set(small_system.active_groups()) == before
+        oracle.check_system(small_system)
+        oracle.check_load_check(small_system, report)
+        with pytest.raises(OracleViolation) as info:
+            oracle.check_sample(small_system, _healthy_sample(time=600.0))
+        assert info.value.check == "liveness:no-thrash"
+
+    @pytest.mark.parametrize("estimate", [True, False], ids=["fixed", "livelock"])
+    def test_fuzz_run_flags_the_livelock(self, monkeypatch, estimate):
+        """Through the harness and simulator wiring: a calm single-ring run
+        is clean, and the same run without the split estimate thrashes."""
+        if not estimate:
+            _drop_split_estimate(monkeypatch)
+        plan = FuzzPlan(
+            transports=("async",),
+            shards=(1,),
+            seeds=(0,),
+            churn_rates=((0.0, 0.0),),
+            budget=1,
+            scale_factor=100,
+            phase_periods=2,
+        )
+        (case,) = enumerate_cases(plan)
+        outcome = run_case(case, oracle=InvariantOracle())
+        if estimate:
+            assert outcome.violation is None
+        else:
+            assert outcome.violation is not None
+            assert outcome.violation.check == "liveness:no-thrash"
 
 
 class TestInvariantOracle:

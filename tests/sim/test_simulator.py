@@ -196,3 +196,14 @@ class TestBalanceLiveness:
         assert all(sample.balance_iterations == 1 for sample in unconverged)
         assert result.notes["balance_cap_hits"] == len(unconverged)
         assert len(caught) == len(unconverged)
+
+    def test_load_check_oracle_sees_every_report(self):
+        simulator = FlowSimulator(tiny_config(), tiny_params(), short_scenario())
+        reports = []
+        simulator.set_oracles(load_check=lambda system, report: reports.append(report))
+        result = simulator.run()
+        samples = result.metrics.samples
+        assert len(reports) == sum(sample.balance_iterations for sample in samples)
+        assert result.total_splits > 0
+        assert sum(report.split_count for report in reports) == result.total_splits
+        assert sum(report.merge_count for report in reports) == result.total_merges
